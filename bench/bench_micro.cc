@@ -109,6 +109,29 @@ void BM_ReachabilityCountOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_ReachabilityCountOnly);
 
+// One link_set failure trial: a count with two random failed links on the
+// intact graph (the failsim default severity). Its distance above
+// BM_ReachabilityCountOnly is the cost of the link filter.
+void BM_ReachabilityLinkFailure(benchmark::State& state) {
+  const AsGraph& graph = BenchWorld().full_graph;
+  std::vector<AsLink> links;
+  for (AsId id = 0; id < graph.num_ases(); ++id) {
+    for (const Neighbor& nb : graph.NeighborsOf(id)) {
+      if (id < nb.id) links.push_back({id, nb.id});
+    }
+  }
+  ReachabilityEngine engine(graph);
+  Rng rng(6);
+  for (auto _ : state) {
+    AsId origin = static_cast<AsId>(rng.UniformU64(graph.num_ases()));
+    AsLink failed[2] = {links[rng.UniformU64(links.size())],
+                        links[rng.UniformU64(links.size())]};
+    benchmark::DoNotOptimize(engine.Count(origin, nullptr, failed));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReachabilityLinkFailure);
+
 // All-origins hierarchy-free sweep through the sharded engine; Arg is the
 // thread count, so the 1-vs-8 ratio is the parallel speedup.
 void BM_ParallelHierarchyFreeSweep(benchmark::State& state) {

@@ -26,10 +26,19 @@ ReachabilityCounters& Counters() {
 // out of cache.
 constexpr std::size_t kPrefetchAhead = 4;
 
+// True when `node`–`nb` is one of the failed links. Only called for nodes
+// whose endpoint bit is set, which keeps the scan off the common path.
+bool LinkFailed(std::span<const AsLink> failed, AsId node, AsId nb) {
+  for (const AsLink& link : failed) {
+    if ((link.a == node && link.b == nb) || (link.a == nb && link.b == node)) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 ReachabilityEngine::ReachabilityEngine(const AsGraph& graph)
-    : graph_(graph), stamps_(graph.num_ases()) {
+    : graph_(graph), stamps_(graph.num_ases()), link_endpoint_(graph.num_ases()) {
   // The queue holds every reached node exactly once, so n slots is the
   // worst case; sizing it up front keeps the BFS free of growth checks
   // (the inner loops write through a raw cursor).
@@ -41,13 +50,27 @@ ReachabilityEngine::ReachabilityEngine(const AsGraph& graph)
   candidates_.resize(downable_.size());
 }
 
+template <bool kFilterLinks>
 std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
-                                       Bitset* reached) {
+                                       std::span<const AsLink> failed, Bitset* reached) {
   std::size_t n = graph_.num_ases();
   if (origin >= n) throw InvalidArgument("ReachabilityEngine: origin out of range");
+  if constexpr (kFilterLinks) {
+    for (const AsLink& link : failed) {
+      if (link.a >= n || link.b >= n) {
+        throw InvalidArgument("ReachabilityEngine: failed link endpoint out of range");
+      }
+    }
+  }
   if (excluded != nullptr && excluded->Test(origin)) {
     if (reached != nullptr) reached->ResetAll();
     return 0;
+  }
+  if constexpr (kFilterLinks) {
+    for (const AsLink& link : failed) {
+      link_endpoint_.Set(link.a);
+      link_endpoint_.Set(link.b);
+    }
   }
 
   // NextEpoch carries the wraparound guard: 2^32 sweeps later the counter
@@ -74,13 +97,18 @@ std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
   // the set reachable from the origin by provider edges only; each can
   // export to every neighbor. The origin behaves like an up-state node (it
   // exports its own prefix everywhere).
+  //
+  // Every edge-crossing loop below reads the endpoint bit once per node;
+  // in the unfiltered instantiation `endpoint` is the constant false and
+  // the failed-link test folds away.
   for (std::size_t head = 0; head < tail; ++head) {
     AsId node = q[head];
     if (head + kPrefetchAhead < tail) {
       __builtin_prefetch(graph_.ProviderIds(q[head + kPrefetchAhead]).data());
     }
+    const bool endpoint = kFilterLinks && link_endpoint_.Test(node);
     for (AsId nb : graph_.ProviderIds(node)) {
-      if (stamp[nb] != cur) {
+      if (stamp[nb] != cur && !(endpoint && LinkFailed(failed, node, nb))) {
         stamp[nb] = cur;
         q[tail++] = nb;
       }
@@ -93,14 +121,15 @@ std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
   std::size_t up_count = tail;
   for (std::size_t head = 0; head < up_count; ++head) {
     AsId node = q[head];
+    const bool endpoint = kFilterLinks && link_endpoint_.Test(node);
     for (AsId nb : graph_.PeerIds(node)) {
-      if (stamp[nb] != cur) {
+      if (stamp[nb] != cur && !(endpoint && LinkFailed(failed, node, nb))) {
         stamp[nb] = cur;
         q[tail++] = nb;
       }
     }
     for (AsId nb : graph_.CustomerIds(node)) {
-      if (stamp[nb] != cur) {
+      if (stamp[nb] != cur && !(endpoint && LinkFailed(failed, node, nb))) {
         stamp[nb] = cur;
         q[tail++] = nb;
       }
@@ -124,8 +153,9 @@ std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
     // the work); survivors compact into candidates_ for later rounds.
     AsId* cand = candidates_.data();
     auto probe = [&](AsId node, std::size_t& write) {
+      const bool endpoint = kFilterLinks && link_endpoint_.Test(node);
       for (AsId p : graph_.ProviderIds(node)) {
-        if (stamp[p] == cur) {
+        if (stamp[p] == cur && !(endpoint && LinkFailed(failed, node, p))) {
           stamp[node] = cur;
           q[tail++] = node;
           return;
@@ -150,12 +180,19 @@ std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
       if (head + kPrefetchAhead < tail) {
         __builtin_prefetch(graph_.CustomerIds(q[head + kPrefetchAhead]).data());
       }
+      const bool endpoint = kFilterLinks && link_endpoint_.Test(node);
       for (AsId nb : graph_.CustomerIds(node)) {
-        if (stamp[nb] != cur) {
+        if (stamp[nb] != cur && !(endpoint && LinkFailed(failed, node, nb))) {
           stamp[nb] = cur;
           q[tail++] = nb;
         }
       }
+    }
+  }
+  if constexpr (kFilterLinks) {
+    for (const AsLink& link : failed) {
+      link_endpoint_.Reset(link.a);
+      link_endpoint_.Reset(link.b);
     }
   }
 
@@ -189,22 +226,34 @@ std::size_t ReachabilityEngine::RunBfs(AsId origin, const Bitset* excluded,
   return tail;
 }
 
+std::size_t ReachabilityEngine::Run(AsId origin, const Bitset* excluded,
+                                    std::span<const AsLink> failed, Bitset* reached) {
+  return failed.empty() ? RunBfs<false>(origin, excluded, failed, reached)
+                        : RunBfs<true>(origin, excluded, failed, reached);
+}
+
 Bitset ReachabilityEngine::Compute(AsId origin, const Bitset* excluded) {
   Bitset reached(graph_.num_ases());
-  RunBfs(origin, excluded, &reached);
+  Run(origin, excluded, {}, &reached);
   return reached;
 }
 
 void ReachabilityEngine::ComputeInto(AsId origin, const Bitset* excluded, Bitset& reached) {
+  ComputeInto(origin, excluded, {}, reached);
+}
+
+void ReachabilityEngine::ComputeInto(AsId origin, const Bitset* excluded,
+                                     std::span<const AsLink> failed, Bitset& reached) {
   if (reached.size() != graph_.num_ases()) {
     reached.Resize(graph_.num_ases());
   }
   // No clear needed: RunBfs overwrites the full set.
-  RunBfs(origin, excluded, &reached);
+  Run(origin, excluded, failed, &reached);
 }
 
-std::size_t ReachabilityEngine::Count(AsId origin, const Bitset* excluded) {
-  std::size_t reached = RunBfs(origin, excluded, nullptr);
+std::size_t ReachabilityEngine::Count(AsId origin, const Bitset* excluded,
+                                      std::span<const AsLink> failed) {
+  std::size_t reached = Run(origin, excluded, failed, nullptr);
   return reached > 0 ? reached - 1 : 0;  // exclude the origin itself
 }
 

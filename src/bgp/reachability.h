@@ -9,12 +9,21 @@
 #ifndef FLATNET_BGP_REACHABILITY_H_
 #define FLATNET_BGP_REACHABILITY_H_
 
+#include <span>
+
 #include "asgraph/as_graph.h"
 #include "bgp/policy.h"
 #include "util/bitset.h"
 #include "util/epoch.h"
 
 namespace flatnet {
+
+// An undirected adjacency between two ASes, in either orientation. A graph
+// holds at most one edge per pair, so the pair names the edge.
+struct AsLink {
+  AsId a;
+  AsId b;
+};
 
 // Returns the reachable set, origin included. Nodes in `excluded` (when
 // non-null) neither receive nor forward; an excluded origin yields the
@@ -37,12 +46,20 @@ class ReachabilityEngine {
   // Reuse path for tight sweep loops: fills `reached` (resized to the
   // graph when needed) without allocating once the caller recycles the
   // same bitset across calls.
+  //
+  // `failed` links (here and in Count) are treated as absent in both
+  // directions, exactly as if the graph had been rebuilt without them.
+  // Sized for a handful of links — a traversal at an endpoint of a failed
+  // link scans the whole span. An empty span runs the unfiltered BFS.
   void ComputeInto(AsId origin, const Bitset* excluded, Bitset& reached);
+  void ComputeInto(AsId origin, const Bitset* excluded, std::span<const AsLink> failed,
+                   Bitset& reached);
 
   // Destination count only. Never materializes a reached bitset — the BFS
   // queue already holds every reached node exactly once — so a counting
   // sweep is allocation-free after the first call.
-  std::size_t Count(AsId origin, const Bitset* excluded = nullptr);
+  std::size_t Count(AsId origin, const Bitset* excluded = nullptr,
+                    std::span<const AsLink> failed = {});
 
   // Forces the internal epoch counter for the wraparound regression test
   // (2^32 real RunBfs calls are out of reach for a unit test).
@@ -55,7 +72,18 @@ class ReachabilityEngine {
   // excluded). The exclusion mask is folded into the stamp array up front
   // (excluded nodes look already-visited), so the inner loops pay one
   // epoch compare per edge and no per-bit Test.
-  std::size_t RunBfs(AsId origin, const Bitset* excluded, Bitset* reached);
+  //
+  // kFilterLinks selects the link-failure instantiation: it tests
+  // link_endpoint_ once per node it pops or probes and, only at endpoints,
+  // skips the neighbors across a failed link. The unfiltered instantiation
+  // ignores `failed` and compiles to the plain loops.
+  template <bool kFilterLinks>
+  std::size_t RunBfs(AsId origin, const Bitset* excluded, std::span<const AsLink> failed,
+                     Bitset* reached);
+
+  // Dispatches to the filtered instantiation only when links failed.
+  std::size_t Run(AsId origin, const Bitset* excluded, std::span<const AsLink> failed,
+                  Bitset* reached);
 
   const AsGraph& graph_;
   // Visited stamp per node, epoch-numbered to avoid clearing between
@@ -73,6 +101,9 @@ class ReachabilityEngine {
   // Scratch for the bottom-up down-flood: unvisited nodes still waiting
   // for a visited provider, compacted every round.
   std::vector<AsId> candidates_;
+  // Endpoints of the current call's failed links; set on entry to a
+  // filtered BFS and cleared on exit, so it is all-zero between calls.
+  Bitset link_endpoint_;
 };
 
 }  // namespace flatnet

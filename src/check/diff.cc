@@ -33,6 +33,44 @@ Bitset DrawDistinct(Rng& rng, std::size_t n, AsId origin, std::size_t want) {
   return drawn;
 }
 
+// Every edge of `graph` once, as an AsId pair (provider first for p2c)
+// plus its type.
+struct TypedLink {
+  AsLink link;
+  EdgeType type;
+};
+
+std::vector<TypedLink> AllLinks(const AsGraph& graph) {
+  std::vector<TypedLink> links;
+  links.reserve(graph.num_edges());
+  for (AsId id = 0; id < graph.num_ases(); ++id) {
+    for (AsId c : graph.CustomerIds(id)) links.push_back({{id, c}, EdgeType::kP2C});
+    for (AsId p : graph.PeerIds(id)) {
+      if (id < p) links.push_back({{id, p}, EdgeType::kP2P});
+    }
+  }
+  return links;
+}
+
+// Picks `want` distinct links of `all` by index; about a third of the
+// draws take one of the origin's own links, the rest are uniform.
+std::vector<std::size_t> DrawLinks(Rng& rng, const std::vector<TypedLink>& all, AsId origin,
+                                   std::size_t want) {
+  std::vector<std::size_t> at_origin;
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (all[i].link.a == origin || all[i].link.b == origin) at_origin.push_back(i);
+  }
+  want = std::min(want, all.size());
+  std::vector<std::size_t> drawn;
+  while (drawn.size() < want) {
+    std::size_t pick = !at_origin.empty() && rng.UniformU64(3) == 0
+                           ? at_origin[rng.UniformU64(at_origin.size())]
+                           : static_cast<std::size_t>(rng.UniformU64(all.size()));
+    if (std::find(drawn.begin(), drawn.end(), pick) == drawn.end()) drawn.push_back(pick);
+  }
+  return drawn;
+}
+
 DiffReport Fail(std::string oracle, std::string detail, const AsGraph& graph,
                 AsId node = kInvalidAsId) {
   DiffReport report;
@@ -161,6 +199,59 @@ DiffReport RunDiffCase(const AsGraph& graph, const DiffCaseConfig& config) {
     if (bfs_count != phase.ReachedCount()) {
       return Fail("reachability.count",
                   StrFormat("phase=%zu bfs=%zu", phase.ReachedCount(), bfs_count), graph);
+    }
+
+    // Oracle 3: fail 1–4 random links. The link-filtered BFS on the intact
+    // graph must reach exactly what the phase engine reaches on the graph
+    // rebuilt without those links. An exclusion mask forces the BFS's
+    // top-down stage 3, so half the cases without one draw their own and
+    // both stage-3 strategies meet the filter.
+    std::vector<TypedLink> all = AllLinks(graph);
+    if (!all.empty()) {
+      Bitset own_excluded;
+      PropagationOptions link_options = options;
+      if (excluded_ptr == nullptr && rng.UniformU64(2) == 0) {
+        own_excluded = DrawDistinct(rng, n, origin, 1 + rng.UniformU64(n / 8 + 1));
+        link_options.excluded = &own_excluded;
+      }
+      const Bitset* link_excluded = link_options.excluded;
+      std::vector<std::size_t> drawn = DrawLinks(rng, all, origin, 1 + rng.UniformU64(4));
+      std::vector<AsLink> failed;
+      for (std::size_t i : drawn) failed.push_back(all[i].link);
+      AsGraphBuilder builder;
+      for (AsId id = 0; id < n; ++id) builder.AddAs(graph.AsnOf(id));
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        if (std::find(drawn.begin(), drawn.end(), i) != drawn.end()) continue;
+        builder.AddEdge(graph.AsnOf(all[i].link.a), graph.AsnOf(all[i].link.b), all[i].type);
+      }
+      AsGraph rebuilt = std::move(builder).Build();
+      RouteComputation cut(rebuilt, sources, link_options);
+      Bitset cut_set = cut.ReachedSet();
+      ReachabilityEngine engine(graph);
+      Bitset filtered;
+      engine.ComputeInto(origin, link_excluded, failed, filtered);
+      std::string links;
+      for (const AsLink& link : failed) {
+        links += StrFormat(" AS%u-AS%u", graph.AsnOf(link.a), graph.AsnOf(link.b));
+      }
+      if (!(filtered == cut_set)) {
+        for (AsId node = 0; node < n; ++node) {
+          if (filtered.Test(node) != cut_set.Test(node)) {
+            return Fail("links.set",
+                        StrFormat("phase=%s bfs=%s failed:%s",
+                                  cut_set.Test(node) ? "reached" : "not",
+                                  filtered.Test(node) ? "reached" : "not", links.c_str()),
+                        graph, node);
+          }
+        }
+      }
+      std::size_t filtered_count = engine.Count(origin, link_excluded, failed);
+      if (filtered_count != cut.ReachedCount()) {
+        return Fail("links.count",
+                    StrFormat("phase=%zu bfs=%zu failed:%s", cut.ReachedCount(),
+                              filtered_count, links.c_str()),
+                    graph);
+      }
     }
   }
 

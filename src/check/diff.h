@@ -7,6 +7,9 @@
 // exactly — reached sets, per-node route class, and path lengths — so a
 // randomized sweep over (topology, origin, excluded set, peer-lock config)
 // tuples is a nearly-free correctness oracle for all of them at once.
+// Cases without peer locking also fail 1–4 random links (drawn from the
+// same case seed) and hold the BFS's link filter to the phase engine run
+// on the graph rebuilt without those links.
 // RunDiffCase executes one such tuple and reports the first divergence;
 // tools/flatnet_diffcheck drives it at fuzz scale and logs reproducers.
 #ifndef FLATNET_CHECK_DIFF_H_

@@ -27,8 +27,9 @@ void MixBitset(Fnv1a64& h, const Bitset& mask) {
 
 }  // namespace
 
-std::uint64_t TopologyFingerprint(const Internet& internet) {
-  const AsGraph& graph = internet.graph();
+std::uint64_t TopologyFingerprint(const Internet& internet) { return internet.fingerprint(); }
+
+std::uint64_t HashTopology(const AsGraph& graph, const TierSets& tiers) {
   Fnv1a64 h;
   h.Mix(graph.num_ases());
   h.Mix(graph.num_edges());
@@ -39,8 +40,8 @@ std::uint64_t TopologyFingerprint(const Internet& internet) {
             static_cast<std::uint64_t>(nb.rel));
     }
   }
-  MixBitset(h, internet.tiers().tier1_mask);
-  MixBitset(h, internet.tiers().tier2_mask);
+  MixBitset(h, tiers.tier1_mask);
+  MixBitset(h, tiers.tier2_mask);
   return h.value();
 }
 

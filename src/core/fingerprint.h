@@ -8,16 +8,26 @@
 // The same Internet always hashes to the same value across runs and
 // machines, so a persisted store — sweep/leak/fail results or a binary
 // `.graph` topology — can be validated before it is served.
+//
+// The hash is computed once per Internet, when it is constructed
+// (Internet::fingerprint()); TopologyFingerprint returns that stored
+// value, so campaigns and store attaches never re-walk the adjacency.
 #ifndef FLATNET_CORE_FINGERPRINT_H_
 #define FLATNET_CORE_FINGERPRINT_H_
 
 #include <cstdint>
 
+#include "asgraph/as_graph.h"
+#include "asgraph/tiers.h"
 #include "core/internet.h"
 
 namespace flatnet {
 
+// The stored fingerprint of `internet`; O(1).
 std::uint64_t TopologyFingerprint(const Internet& internet);
+
+// The from-scratch hash, O(n + E): what Internet's constructor stores.
+std::uint64_t HashTopology(const AsGraph& graph, const TierSets& tiers);
 
 }  // namespace flatnet
 

@@ -267,8 +267,10 @@ Internet LoadInternetBinary(const std::string& path) {
     info.name.assign(blob + name_offsets[id], name_offsets[id + 1] - name_offsets[id]);
   }
 
+  // Constructing the Internet hashes the loaded columns; that hash must
+  // reproduce the one the writer stored.
   Internet internet(std::move(graph), std::move(tiers), std::move(metadata));
-  std::uint64_t actual = TopologyFingerprint(internet);
+  std::uint64_t actual = internet.fingerprint();
   if (actual != shape.fingerprint) {
     throw Error(StrFormat("%s:%zu: stored fingerprint %016llx does not match the loaded "
                           "topology %016llx",

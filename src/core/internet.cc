@@ -1,11 +1,17 @@
 #include "core/internet.h"
 
+#include "core/fingerprint.h"
 #include "util/error.h"
 
 namespace flatnet {
 
+Internet::Internet() : fingerprint_(HashTopology(graph_, tiers_)) {}
+
 Internet::Internet(AsGraph graph, TierSets tiers, AsMetadata metadata)
-    : graph_(std::move(graph)), tiers_(std::move(tiers)), metadata_(std::move(metadata)) {
+    : graph_(std::move(graph)),
+      tiers_(std::move(tiers)),
+      metadata_(std::move(metadata)),
+      fingerprint_(HashTopology(graph_, tiers_)) {
   if (tiers_.tier1_mask.size() != graph_.num_ases() ||
       metadata_.size() != graph_.num_ases()) {
     throw InvalidArgument("Internet: tier/metadata size mismatch with graph");

@@ -4,6 +4,7 @@
 #ifndef FLATNET_CORE_INTERNET_H_
 #define FLATNET_CORE_INTERNET_H_
 
+#include <cstdint>
 #include <string>
 
 #include "asgraph/as_graph.h"
@@ -15,12 +16,17 @@ namespace flatnet {
 
 class Internet {
  public:
-  Internet() = default;
+  Internet();
   Internet(AsGraph graph, TierSets tiers, AsMetadata metadata);
 
   const AsGraph& graph() const { return graph_; }
   const TierSets& tiers() const { return tiers_; }
   const AsMetadata& metadata() const { return metadata_; }
+
+  // The topology fingerprint (core/fingerprint.h) of the graph and tier
+  // sets, hashed once at construction. The members are immutable, so the
+  // value never goes stale; copies carry it along.
+  std::uint64_t fingerprint() const { return fingerprint_; }
 
   std::size_t num_ases() const { return graph_.num_ases(); }
   const std::string& NameOf(AsId id) const { return metadata_.Get(id).name; }
@@ -37,6 +43,7 @@ class Internet {
   AsGraph graph_;
   TierSets tiers_;
   AsMetadata metadata_;
+  std::uint64_t fingerprint_;  // declared last: hashed from the members above
 };
 
 }  // namespace flatnet

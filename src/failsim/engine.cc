@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "bgp/hegemony.h"
@@ -21,6 +23,7 @@
 #include "sweep/fingerprint.h"
 #include "sweep/journal.h"
 #include "util/error.h"
+#include "util/narrow.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -71,12 +74,45 @@ double DecodeDouble(const std::uint32_t* in) {
 // knockout material, and the prefix sums mapping global trial indices
 // back to (cell, local).
 struct PreparedCampaign {
-  std::vector<Bitset> baselines;        // intact reach set, origin included
-  std::vector<double> baseline_users;   // Σ users over baseline destinations
-  std::vector<std::vector<std::uint32_t>> edge_draws;  // kLinkSet: trials×severity indices
-  std::vector<AsGraph::Edge> edge_list;  // canonical order, filled when any cell fails links
-  std::vector<std::size_t> offsets;      // cells.size() + 1 entries
+  std::vector<Bitset> baselines;                  // intact reach set, origin included
+  std::vector<double> baseline_users;             // Σ users over baseline destinations
+  std::vector<std::vector<AsLink>> failed_links;  // kLinkSet: trials×severity links
+  std::vector<std::size_t> offsets;               // cells.size() + 1 entries
   std::size_t total_trials = 0;
+};
+
+// Resolves an index into AsGraph::EdgeList() order to the edge's AsId
+// pair without materializing the list. That order walks node ids
+// ascending and emits each node's customers, then its peers with a larger
+// id; a prefix sum over those per-node counts locates the owner by binary
+// search.
+class EdgeIndex {
+ public:
+  explicit EdgeIndex(const AsGraph& graph) : graph_(graph), first_(graph.num_ases() + 1, 0) {
+    std::size_t owned = 0;
+    for (AsId id = 0; id < graph.num_ases(); ++id) {
+      std::span<const AsId> peers = graph.PeerIds(id);
+      owned += graph.CustomerIds(id).size() +
+               static_cast<std::size_t>(peers.end() -
+                                        std::upper_bound(peers.begin(), peers.end(), id));
+      first_[id + 1] = CheckedNarrow32(owned, "failsim edge index");
+    }
+  }
+
+  AsLink Link(std::uint32_t edge) const {
+    AsId owner = static_cast<AsId>(std::upper_bound(first_.begin(), first_.end(), edge) -
+                                   first_.begin() - 1);
+    std::uint32_t rank = edge - first_[owner];
+    std::span<const AsId> customers = graph_.CustomerIds(owner);
+    if (rank < customers.size()) return {owner, customers[rank]};
+    std::span<const AsId> peers = graph_.PeerIds(owner);
+    auto higher = std::upper_bound(peers.begin(), peers.end(), owner);
+    return {owner, higher[rank - customers.size()]};
+  }
+
+ private:
+  const AsGraph& graph_;
+  std::vector<std::uint32_t> first_;  // first edge index owned by each node; n + 1 entries
 };
 
 PreparedCampaign Prepare(const Internet& internet, const std::vector<FailCellSpec>& cells,
@@ -87,12 +123,13 @@ PreparedCampaign Prepare(const Internet& internet, const std::vector<FailCellSpe
   PreparedCampaign prep;
   prep.baselines.reserve(cells.size());
   prep.baseline_users.reserve(cells.size());
-  prep.edge_draws.resize(cells.size());
+  prep.failed_links.resize(cells.size());
   prep.offsets.reserve(cells.size() + 1);
   prep.offsets.push_back(0);
   table.cells.reserve(cells.size());
 
   ReachabilityEngine engine(graph);
+  std::optional<EdgeIndex> edge_index;  // built on the first link_set cell
   // Hegemony rankings are deterministic per origin; cells sharing an
   // origin share the computation.
   std::map<AsId, std::vector<AsId>> rankings;
@@ -141,7 +178,7 @@ PreparedCampaign Prepare(const Internet& internet, const std::vector<FailCellSpe
     std::size_t collected = 0;
     switch (spec.scenario) {
       case FailScenario::kSingleAs: {
-        std::uint32_t avail = static_cast<std::uint32_t>(n - 1);
+        std::uint32_t avail = CheckedNarrow32(n - 1, "RunFailureCampaign single_as pool");
         std::uint32_t k = std::min(spec.trials, avail);
         for (std::uint32_t idx : rng.SampleWithoutReplacement(avail, k)) {
           // Index space skips the origin.
@@ -182,13 +219,14 @@ PreparedCampaign Prepare(const Internet& internet, const std::vector<FailCellSpe
         break;
       }
       case FailScenario::kLinkSet: {
-        std::uint32_t num_edges = static_cast<std::uint32_t>(graph.num_edges());
-        if (prep.edge_list.empty()) prep.edge_list = graph.EdgeList();
-        std::vector<std::uint32_t>& draws = prep.edge_draws[i];
-        draws.reserve(std::size_t{spec.trials} * spec.severity);
+        std::uint32_t num_edges =
+            CheckedNarrow32(graph.num_edges(), "RunFailureCampaign link_set pool");
+        if (!edge_index) edge_index.emplace(graph);
+        std::vector<AsLink>& links = prep.failed_links[i];
+        links.reserve(std::size_t{spec.trials} * spec.severity);
         for (std::uint32_t t = 0; t < spec.trials; ++t) {
           for (std::uint32_t e : rng.SampleWithoutReplacement(num_edges, spec.severity)) {
-            draws.push_back(e);
+            links.push_back(edge_index->Link(e));
           }
         }
         collected = spec.trials;
@@ -207,9 +245,9 @@ PreparedCampaign Prepare(const Internet& internet, const std::vector<FailCellSpe
   return prep;
 }
 
-// Per-worker reusable evaluation state for the shared intact graph.
-// Link-set trials operate on a rebuilt subgraph instead and allocate per
-// trial — the rebuild dominates anyway.
+// Per-worker reusable evaluation state for the shared intact graph. Every
+// scenario runs on it: AS knockouts as an exclusion mask, link trials as
+// the engine's failed-link filter.
 struct FailWorkspace {
   explicit FailWorkspace(const AsGraph& graph)
       : engine(graph), mask(graph.num_ases()), damaged(graph.num_ases()) {}
@@ -241,8 +279,8 @@ double LostUsers(const Bitset& baseline, const Bitset& damaged, const Bitset* ma
   return lost;
 }
 
-TrialOutcome EvaluateTrial(const Internet& internet, const PreparedCampaign& prep,
-                           const FailTable& table, std::size_t cell_index, std::size_t local,
+TrialOutcome EvaluateTrial(const PreparedCampaign& prep, const FailTable& table,
+                           std::size_t cell_index, std::size_t local,
                            const std::vector<double>* users, FailWorkspace& workspace) {
   const FailCellResult& cell = table.cells[cell_index];
   const FailCellSpec& spec = cell.spec;
@@ -255,32 +293,15 @@ TrialOutcome EvaluateTrial(const Internet& internet, const PreparedCampaign& pre
   double lost_users = 0.0;
 
   if (spec.scenario == FailScenario::kLinkSet) {
-    const AsGraph& graph = internet.graph();
-    const std::uint32_t* failed =
-        prep.edge_draws[cell_index].data() + local * spec.severity;
-    AsGraphBuilder builder;
-    for (AsId id = 0; id < graph.num_ases(); ++id) builder.AddAs(graph.AsnOf(id));
-    for (std::uint32_t e = 0; e < prep.edge_list.size(); ++e) {
-      bool drop = false;
-      for (std::uint32_t f = 0; f < spec.severity; ++f) {
-        if (failed[f] == e) {
-          drop = true;
-          break;
-        }
-      }
-      if (drop) continue;
-      const AsGraph::Edge& edge = prep.edge_list[e];
-      builder.AddEdge(edge.a, edge.b, edge.type);
-    }
-    AsGraph sub = std::move(builder).Build();
-    ReachabilityEngine sub_engine(sub);
+    std::span<const AsLink> failed(prep.failed_links[cell_index].data() + local * spec.severity,
+                                   spec.severity);
     if (users != nullptr) {
-      sub_engine.ComputeInto(spec.origin, nullptr, workspace.damaged);
+      workspace.engine.ComputeInto(spec.origin, nullptr, failed, workspace.damaged);
       std::size_t reached = workspace.damaged.Count();
       damaged_count = reached > 0 ? reached - 1 : 0;
       lost_users = LostUsers(baseline, workspace.damaged, nullptr, *users);
     } else {
-      damaged_count = sub_engine.Count(spec.origin);
+      damaged_count = workspace.engine.Count(spec.origin, nullptr, failed);
     }
   } else {
     workspace.mask.ResetAll();
@@ -476,8 +497,8 @@ FailTable RunFailureCampaign(const Internet& internet, const std::vector<FailCel
       for (std::size_t i = 0; i < chunk_len; ++i) {
         std::size_t g = begin + i;
         while (g >= prep.offsets[cell + 1]) ++cell;
-        TrialOutcome outcome = EvaluateTrial(internet, prep, table, cell,
-                                             g - prep.offsets[cell], options.users, workspace);
+        TrialOutcome outcome = EvaluateTrial(prep, table, cell, g - prep.offsets[cell],
+                                             options.users, workspace);
         slot_write(cell, g, outcome);
         std::uint32_t* at = payload.data() + i * words_per_trial;
         EncodeDouble(outcome.loss_ases, at);

@@ -9,6 +9,9 @@
 // concatenated trial space is split into fixed-size chunks claimed off
 // an atomic cursor by ThreadPool workers, each holding one reusable
 // workspace (a ReachabilityEngine plus knockout/reach scratch bitsets).
+// Every trial runs on the one intact graph: AS knockouts as the engine's
+// exclusion mask, link_set trials as its failed-link filter (the drawn
+// EdgeList() indices are resolved to AsId pairs during the pre-draw).
 // Every trial writes into its pre-assigned slot, so the resulting table
 // — and the store serialized from it — is byte-identical at any thread
 // count and any chunk size.
@@ -37,9 +40,12 @@ namespace flatnet::failsim {
 struct FailCampaignOptions {
   // Worker parallelism; 0 = hardware concurrency.
   std::size_t threads = 0;
-  // Trials per chunk — the unit of claiming and of checkpointing. Failure
-  // trials are heavier than leak trials (link trials rebuild the graph),
-  // so the default chunk is smaller than leaksim's.
+  // Trials per chunk — the unit of claiming and of checkpointing. Every
+  // trial is one reachability BFS on the intact graph, lighter than a
+  // leak trial, but the default stays at 16: the journal header records
+  // the chunk size, so a new default would refuse to resume journals
+  // written under the old one, and 16 BFS runs still checkpoint every few
+  // tens of milliseconds per worker at 100k ASes.
   std::uint32_t chunk_trials = 16;
   // Per-AS user weights (one entry per AS); non-null enables the
   // user-weighted loss column in every cell. Must outlive the run.

@@ -461,12 +461,13 @@ std::string Dispatcher::HandleSync(const std::string& line) {
   std::condition_variable cv;
   std::string response;
   bool ready = false;
+  // Notify under the lock: once `ready` is visible the waiter may return
+  // and destroy `cv`, so the callback must be done with `cv` before the
+  // waiter can reacquire `mu`.
   Handle(line, [&](std::string r) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      response = std::move(r);
-      ready = true;
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    response = std::move(r);
+    ready = true;
     cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(mu);

@@ -21,6 +21,7 @@
 #include "sweep/fingerprint.h"
 #include "topogen/generate.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace flatnet {
 namespace {
@@ -67,6 +68,33 @@ class FailsimTest : public ::testing::Test {
       return Internet(w.full_graph, w.tiers, w.metadata);
     }();
     return net;
+  }
+
+  static std::vector<double> Users() {
+    std::vector<double> users(internet().num_ases());
+    for (AsId id = 0; id < internet().num_ases(); ++id) {
+      users[id] = internet().metadata().Get(id).users;
+    }
+    return users;
+  }
+
+  // link_set cells at every severity from 1 to 4 over two origins.
+  static std::vector<FailCellSpec> LinkCells(std::uint32_t trials) {
+    std::vector<FailCellSpec> cells;
+    AsId origins[] = {world().tiers.tier2[0], world().tiers.tier2[2]};
+    std::uint64_t seed = 0x11e5;
+    for (AsId origin : origins) {
+      for (std::uint32_t severity = 1; severity <= 4; ++severity) {
+        FailCellSpec spec;
+        spec.origin = origin;
+        spec.scenario = FailScenario::kLinkSet;
+        spec.severity = severity;
+        spec.seed = seed++;
+        spec.trials = trials;
+        cells.push_back(spec);
+      }
+    }
+    return cells;
   }
 
   // The campaign matrix the tests run: two origins, every scenario,
@@ -128,6 +156,91 @@ TEST_F(FailsimTest, TrialsMatchDirectEvaluation) {
           << failsim::ToString(cell.spec.scenario) << " trial " << t;
     }
   }
+}
+
+// Independent oracle for link_set trials: replay each cell's draws from
+// Rng(spec.seed) over the canonical EdgeList() order, rebuild the graph
+// without the trial's links through AsGraphBuilder, and evaluate a fresh
+// engine on that subgraph. Both the count-only path (no users) and the
+// reach-set path (users) must agree with it trial for trial.
+TEST_F(FailsimTest, LinkSetTrialsMatchRebuiltSubgraph) {
+  std::vector<double> users = Users();
+  std::vector<FailCellSpec> cells = LinkCells(6);
+  FailTable plain = RunFailureCampaign(internet(), cells);
+  FailCampaignOptions weighted;
+  weighted.users = &users;
+  FailTable with_users = RunFailureCampaign(internet(), cells, weighted);
+
+  const AsGraph& graph = internet().graph();
+  std::vector<AsGraph::Edge> edges = graph.EdgeList();
+  ReachabilityEngine intact(graph);
+  std::size_t damaging_trials = 0;
+  for (std::size_t c = 0; c < cells.size(); ++c) {
+    const FailCellSpec& spec = cells[c];
+    Bitset baseline = intact.Compute(spec.origin);
+    double base = static_cast<double>(baseline.Count() - 1);
+    double baseline_users = 0.0;
+    for (AsId id = 0; id < graph.num_ases(); ++id) {
+      if (id != spec.origin && baseline.Test(id)) baseline_users += users[id];
+    }
+    ASSERT_EQ(plain.cells[c].collected(), spec.trials);
+    ASSERT_EQ(with_users.cells[c].collected(), spec.trials);
+
+    Rng rng(spec.seed);
+    for (std::uint32_t t = 0; t < spec.trials; ++t) {
+      std::vector<std::uint32_t> draws =
+          rng.SampleWithoutReplacement(static_cast<std::uint32_t>(edges.size()), spec.severity);
+      AsGraphBuilder builder;
+      for (AsId id = 0; id < graph.num_ases(); ++id) builder.AddAs(graph.AsnOf(id));
+      for (std::uint32_t e = 0; e < edges.size(); ++e) {
+        if (std::find(draws.begin(), draws.end(), e) != draws.end()) continue;
+        builder.AddEdge(edges[e].a, edges[e].b, edges[e].type);
+      }
+      AsGraph sub = std::move(builder).Build();
+      ASSERT_EQ(sub.num_edges(), graph.num_edges() - spec.severity);
+      Bitset damaged = ReachabilityEngine(sub).Compute(spec.origin);
+      double reached = static_cast<double>(damaged.Count() - 1);
+      double disconnected = base > reached ? base - reached : 0.0;
+      if (disconnected > 0.0) ++damaging_trials;
+      double lost = 0.0;
+      for (AsId id = 0; id < graph.num_ases(); ++id) {
+        if (baseline.Test(id) && !damaged.Test(id)) lost += users[id];
+      }
+      SCOPED_TRACE(testing::Message() << "cell " << c << " severity " << spec.severity
+                                      << " trial " << t);
+      for (const FailTable* table : {&plain, &with_users}) {
+        EXPECT_DOUBLE_EQ(table->cells[c].disconnected[t], disconnected);
+        EXPECT_DOUBLE_EQ(table->cells[c].loss_ases[t], base > 0.0 ? disconnected / base : 0.0);
+      }
+      EXPECT_DOUBLE_EQ(with_users.cells[c].loss_users[t],
+                       baseline_users > 0.0 ? lost / baseline_users : 0.0);
+    }
+  }
+  // The draws must cut somebody off, or the comparison above is vacuous.
+  EXPECT_GT(damaging_trials, 0u);
+}
+
+// The bytes of one seeded link_set store (user column included) are
+// pinned to the digest the subgraph-rebuild implementation produced, so
+// any change to the draws, their order, or the trial evaluation shows up
+// here as well as in the oracle above.
+TEST_F(FailsimTest, LinkSetStoreBytesArePinned) {
+  std::vector<double> users = Users();
+  FailCampaignOptions options;
+  options.users = &users;
+  options.threads = 2;
+  std::string path = TempPath("flatnet_failsim_linkset_pinned.fail");
+  failsim::WriteFailStore(path, RunFailureCampaign(internet(), LinkCells(5), options));
+  std::string bytes = ReadFileBytes(path);
+  std::filesystem::remove(path);
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (char byte : bytes) {
+    digest ^= static_cast<unsigned char>(byte);
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(digest, 0xe07e0cc674f5f77cull) << std::hex << "actual digest 0x" << digest << ", "
+                            << bytes.size() << " bytes";
 }
 
 // A kTier1 cell sized to the Tier-1 clique fails every Tier-1 exactly
@@ -200,10 +313,7 @@ TEST_F(FailsimTest, ThreadAndChunkCountDoNotChangeStoreBytes) {
 }
 
 TEST_F(FailsimTest, UserWeightedColumnMatchesDirectEvaluation) {
-  std::vector<double> users(internet().num_ases());
-  for (AsId id = 0; id < internet().num_ases(); ++id) {
-    users[id] = internet().metadata().Get(id).users;
-  }
+  std::vector<double> users = Users();
   FailCellSpec spec;
   spec.origin = world().tiers.tier2[0];
   spec.scenario = FailScenario::kSingleAs;

@@ -910,6 +910,34 @@ TEST_F(ServeDispatchTest, DeadlineAlreadyExpiredIsRejected) {
   }
 }
 
+// HandleSync blocks on a stack-local condition variable that a pool
+// thread signals. Callers looping concurrently are the pattern in which a
+// notify issued after unlocking let a waiter return and destroy the
+// condition variable mid-notify (a race the sanitizer job reports). With
+// the cache off every call crosses to the pool.
+TEST_F(ServeDispatchTest, ConcurrentHandleSyncCallsAllComplete) {
+  Dispatcher uncached(internet(), DispatcherOptions{.threads = 2, .cache_bytes = 0});
+  constexpr int kCallers = 4;
+  constexpr int kCalls = 100;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < kCalls; ++i) {
+        AsId origin = static_cast<AsId>((c * kCalls + i) % internet().num_ases());
+        Json response = Json::Parse(uncached.HandleSync(
+            StrFormat(R"({"op":"reach","origin":%u,"id":%d})", AsnAt(origin), i)));
+        if (!response.Get("ok").AsBool() ||
+            response.Get("id").AsU64() != static_cast<std::uint64_t>(i)) {
+          bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(bad.load(), 0);
+}
+
 TEST(ServeServer, SocketRoundTripAndGracefulShutdown) {
   GeneratorParams params = GeneratorParams::Era2015(400);
   params.seed = 77;

@@ -4,7 +4,7 @@
 // (seeded, fully reproducible) and cross-checks the three propagation
 // implementations — RouteComputation, ReachabilityEngine, EventBgpEngine —
 // plus the structural invariants from src/check, over randomized origin /
-// excluded-set / peer-lock configurations. Any divergence is logged as a
+// excluded-set / peer-lock / failed-link configurations. Any divergence is logged as a
 // minimized reproducer (generator seed + case parameters + first
 // mismatching AS) and the process exits nonzero. CI runs a bounded budget
 // of cases under ASan/UBSan; the full default sweep is the standing
