@@ -3,21 +3,6 @@
 namespace flatnet {
 namespace {
 
-class Fnv1a64 {
- public:
-  void Mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ ^= (v >> (i * 8)) & 0xFFu;
-      hash_ *= 0x100000001b3ULL;
-    }
-  }
-
-  std::uint64_t value() const { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
-
 void MixBitset(Fnv1a64& h, const Bitset& mask) {
   h.Mix(mask.size());
   // Set-bit indices rather than raw words: independent of Bitset's

@@ -23,6 +23,24 @@
 
 namespace flatnet {
 
+// 64-bit FNV-1a over a stream of u64 values, each mixed as its eight
+// bytes in little-endian order. Campaign fingerprints and journals key on
+// these values, so the mixing order is frozen.
+class Fnv1a64 {
+ public:
+  void Mix(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (i * 8)) & 0xFFu;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
 // The stored fingerprint of `internet`; O(1).
 std::uint64_t TopologyFingerprint(const Internet& internet);
 

@@ -5,22 +5,17 @@
 // single-AS ablations and link draws replay a fixed Rng stream, the
 // Tier-1 permutation comes from the same stream, and the hegemony
 // cascade order is the deterministic ranking of bgp/hegemony.h on the
-// intact graph. Only the evaluation of the drawn trials is parallel: the
-// concatenated trial space is split into fixed-size chunks claimed off
-// an atomic cursor by ThreadPool workers, each holding one reusable
-// workspace (a ReachabilityEngine plus knockout/reach scratch bitsets).
-// Every trial runs on the one intact graph: AS knockouts as the engine's
-// exclusion mask, link_set trials as its failed-link filter (the drawn
-// EdgeList() indices are resolved to AsId pairs during the pre-draw).
-// Every trial writes into its pre-assigned slot, so the resulting table
-// — and the store serialized from it — is byte-identical at any thread
-// count and any chunk size.
-//
-// With a journal path set, completed chunks are checkpointed through
-// sweep::SweepJournal (doubles ride as u32 word pairs); a killed run
-// resumed with `resume = true` recomputes only the missing chunks and
-// produces a byte-identical store. The journal header is keyed on the
-// campaign fingerprint, so resuming against different inputs is loud.
+// intact graph. Only the evaluation of the drawn trials is parallel:
+// chunks of the concatenated trial space run through campaign::RunChunks
+// (campaign/runner.h), each worker holding a ReachabilityEngine plus
+// knockout/reach scratch bitsets. Every trial runs on the one intact
+// graph: AS knockouts as the engine's exclusion mask, link_set trials as
+// its failed-link filter (the drawn EdgeList() indices are resolved to
+// AsId pairs during the pre-draw). Every trial writes into its
+// pre-assigned slot, so the resulting table — and the store serialized
+// from it — is byte-identical at any thread count, any chunk size, and
+// after a kill + resume. The journal is keyed on the campaign fingerprint,
+// so resuming against different inputs is loud.
 //
 // Instrumented with src/obs/: failsim.chunks_completed / chunks_resumed /
 // checkpoint_writes / trials_evaluated counters, a failsim.trials_per_sec
@@ -32,14 +27,13 @@
 #include <string>
 #include <vector>
 
+#include "campaign/runner.h"
 #include "core/internet.h"
 #include "failsim/store.h"
 
 namespace flatnet::failsim {
 
-struct FailCampaignOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct FailCampaignOptions : campaign::RunOptions {
   // Trials per chunk — the unit of claiming and of checkpointing. Every
   // trial is one reachability BFS on the intact graph, lighter than a
   // leak trial, but the default stays at 16: the journal header records
@@ -52,17 +46,6 @@ struct FailCampaignOptions {
   const std::vector<double>* users = nullptr;
   // Viewpoint-trimming fraction for kHegemonyCascade rankings (each end).
   double hegemony_trim = 0.1;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). A mismatch against this topology, cell list, or
-  // user-weight flag throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small campaigns.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
 struct FailCampaignStats {

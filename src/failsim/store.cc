@@ -1,8 +1,6 @@
 #include "failsim/store.h"
 
-#include <cstring>
-
-#include "sweep/fingerprint.h"
+#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -139,14 +137,10 @@ FailStore FailStore::Load(const std::string& path) {
   colstore::CheckFooter(path, bytes, kFormat);
 
   std::size_t offset = descs_end;
-  auto read_column = [&](std::vector<double>& column) {
-    std::memcpy(column.data(), bytes.data() + offset, column.size() * sizeof(double));
-    offset += column.size() * sizeof(double);
-  };
   for (FailCellResult& cell : table.cells) {
-    read_column(cell.loss_ases);
-    read_column(cell.disconnected);
-    if (table.has_users) read_column(cell.loss_users);
+    colstore::ReadColumn(bytes, offset, cell.loss_ases);
+    colstore::ReadColumn(bytes, offset, cell.disconnected);
+    if (table.has_users) colstore::ReadColumn(bytes, offset, cell.loss_users);
   }
   FailStore store;
   store.table_ = std::move(table);
@@ -154,7 +148,7 @@ FailStore FailStore::Load(const std::string& path) {
 }
 
 void FailStore::ValidateAgainst(const Internet& internet) const {
-  std::uint64_t expected = sweep::TopologyFingerprint(internet);
+  std::uint64_t expected = TopologyFingerprint(internet);
   if (table_.fingerprint != expected) {
     throw Error(StrFormat("fail store fingerprint %016llx does not match topology %016llx "
                           "(results were computed on a different graph)",

@@ -4,18 +4,14 @@
 // assignments are pre-drawn SERIALLY from the cell's seed with
 // DrawLeakers — the same rejection-sampling loop RunLeakScenario uses, so
 // cell results are identical to the serial path for the same tuple. Only
-// the evaluation of the drawn trials is parallel: the concatenated trial
-// space is split into fixed-size chunks claimed off an atomic cursor by
-// ThreadPool workers, each holding one reusable LeakWorkspace. Every
-// trial writes into its pre-assigned slot, so the resulting table — and
-// the store serialized from it — is byte-identical at any thread count.
-//
-// With a journal path set, completed chunks are checkpointed through
-// sweep::SweepJournal (doubles ride as u32 word pairs); a killed run
-// resumed with `resume = true` recomputes only the missing chunks and
-// produces a byte-identical store to an uninterrupted run. The journal
-// header is keyed on a campaign fingerprint mixing the topology hash with
-// every cell spec, so resuming against different inputs is loud.
+// the evaluation of the drawn trials is parallel: chunks of the
+// concatenated trial space run through campaign::RunChunks
+// (campaign/runner.h), each worker holding one reusable LeakWorkspace, and
+// every trial writes its pre-assigned slot. The table — and the store
+// serialized from it — is byte-identical at any thread count and after a
+// kill + resume. The journal is keyed on a campaign fingerprint mixing the
+// topology hash with every cell spec, so resuming against different inputs
+// is loud.
 //
 // Instrumented with src/obs/: leaksim.chunks_completed / chunks_resumed /
 // checkpoint_writes / trials_evaluated counters, a leaksim.trials_per_sec
@@ -27,30 +23,18 @@
 #include <string>
 #include <vector>
 
+#include "campaign/runner.h"
 #include "core/internet.h"
 #include "leaksim/store.h"
 
 namespace flatnet::leaksim {
 
-struct LeakCampaignOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct LeakCampaignOptions : campaign::RunOptions {
   // Trials per chunk — the unit of claiming and of checkpointing.
   std::uint32_t chunk_trials = 64;
   // Per-AS user weights (one entry per AS); non-null enables the
   // user-weighted detour column in every cell. Must outlive the run.
   const std::vector<double>* users = nullptr;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). The journal must match this topology and this
-  // cell list; a mismatch throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small campaigns.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
 struct LeakCampaignStats {

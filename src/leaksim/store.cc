@@ -1,8 +1,6 @@
 #include "leaksim/store.h"
 
-#include <cstring>
-
-#include "sweep/fingerprint.h"
+#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -130,14 +128,8 @@ LeakStore LeakStore::Load(const std::string& path) {
 
   std::size_t offset = descs_end;
   for (LeakCellResult& cell : table.cells) {
-    std::memcpy(cell.fraction_ases.data(), bytes.data() + offset,
-                cell.fraction_ases.size() * sizeof(double));
-    offset += cell.fraction_ases.size() * sizeof(double);
-    if (table.has_users) {
-      std::memcpy(cell.fraction_users.data(), bytes.data() + offset,
-                  cell.fraction_users.size() * sizeof(double));
-      offset += cell.fraction_users.size() * sizeof(double);
-    }
+    colstore::ReadColumn(bytes, offset, cell.fraction_ases);
+    if (table.has_users) colstore::ReadColumn(bytes, offset, cell.fraction_users);
   }
   LeakStore store;
   store.table_ = std::move(table);
@@ -145,7 +137,7 @@ LeakStore LeakStore::Load(const std::string& path) {
 }
 
 void LeakStore::ValidateAgainst(const Internet& internet) const {
-  std::uint64_t expected = sweep::TopologyFingerprint(internet);
+  std::uint64_t expected = TopologyFingerprint(internet);
   if (table_.fingerprint != expected) {
     throw Error(StrFormat("leak store fingerprint %016llx does not match topology %016llx "
                           "(results were computed on a different graph)",

@@ -3,7 +3,7 @@
 // A `.leak` file holds the per-trial detour fractions for every cell of a
 // campaign — one cell per (victim, scenario, lock mode, model, seed,
 // trials) tuple — bound to the topology by its fingerprint
-// (sweep/fingerprint.h). Layout (native-endian):
+// (core/fingerprint.h). Layout (native-endian):
 //
 //   header   magic "FNLEAK01" (8) | version u32 | flags u32 |
 //            num_cells u32 | reserved u32 | fingerprint u64

@@ -1,8 +1,9 @@
 // Campaign telemetry: heartbeat, throughput, ETA, and straggler detection
-// for chunked batch engines (sweep, leaksim).
+// for chunked batch engines (sweep, leaksim, failsim).
 //
-// One CampaignMonitor is created per run and shared by every worker; each
-// worker calls ChunkDone() after finishing a chunk. The monitor feeds:
+// campaign::RunChunks creates one CampaignMonitor per run and shares it
+// with every worker; each worker calls ChunkDone() after finishing a
+// chunk. The monitor feeds:
 //   - a `<component>.chunk_ms` histogram (per-chunk latency distribution),
 //   - a `<component>.eta_s` gauge (remaining wall-clock estimate),
 //   - a `<component>.stragglers` counter plus a warn log line whenever a
@@ -29,7 +30,7 @@ namespace flatnet::obs {
 class CampaignMonitor {
  public:
   struct Options {
-    std::string component;       // metric/log prefix: "sweep", "leaksim"
+    std::string component;       // metric/log prefix: "sweep", "leaksim", "failsim"
     std::string unit = "units";  // what a chunk produces: "origins", "trials"
     std::size_t total_chunks = 0;
     std::size_t resumed_chunks = 0;  // already done before this run

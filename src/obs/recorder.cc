@@ -8,6 +8,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstring>
+#include <vector>
 
 #include "obs/log.h"
 #include "util/env.h"
@@ -322,9 +323,14 @@ bool InstallCrashHandlerFromEnv() {
 }
 
 void ResetRecorderForTest() {
+  // Rings outlive their threads by design, and a thread may still hold one
+  // from before the reset. Retired rings stay reachable from here (never
+  // destroyed), so a leak checker sees them as live rather than lost.
+  static auto* retired = new std::vector<Ring*>;
   g_enabled.store(false, std::memory_order_relaxed);
   for (std::size_t i = 0; i < kRecorderMaxThreads; ++i) {
-    g_rings[i].store(nullptr, std::memory_order_relaxed);  // rings leak by design
+    Ring* ring = g_rings[i].exchange(nullptr, std::memory_order_relaxed);
+    if (ring != nullptr) retired->push_back(ring);
   }
   g_ring_claims.store(0, std::memory_order_relaxed);
   g_threads_dropped.store(0, std::memory_order_relaxed);

@@ -1,71 +1,75 @@
 #include "sweep/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <filesystem>
-#include <mutex>
-#include <thread>
+#include <array>
+#include <memory>
 
 #include "bgp/propagation.h"
 #include "bgp/reachability.h"
-#include "obs/campaign.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
+#include "campaign/journal.h"
+#include "campaign/runner.h"
+#include "core/fingerprint.h"
 #include "obs/trace.h"
-#include "sweep/fingerprint.h"
-#include "sweep/journal.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
-#include "util/thread_pool.h"
 
 namespace flatnet::sweep {
 namespace {
 
-struct SweepCounters {
-  obs::Counter& chunks_completed = obs::GetCounter("sweep.chunks_completed");
-  obs::Counter& chunks_resumed = obs::GetCounter("sweep.chunks_resumed");
-  obs::Counter& checkpoint_writes = obs::GetCounter("sweep.checkpoint_writes");
-  obs::Counter& origins_computed = obs::GetCounter("sweep.origins_computed");
-  obs::Gauge& origins_per_sec = obs::GetGauge("sweep.origins_per_sec");
-};
-
-SweepCounters& Counters() {
-  static SweepCounters counters;
-  return counters;
+std::vector<SweepColumn> PresentColumns(std::uint32_t columns) {
+  std::vector<SweepColumn> present;
+  for (std::size_t c = 0; c < kNumSweepColumns; ++c) {
+    if (columns & (1u << c)) present.push_back(static_cast<SweepColumn>(c));
+  }
+  return present;
 }
 
 // Thread-local compute state: one BFS engine plus one reusable scratch
 // mask per baseline exclusion set. Per origin the scratch is patched (set
 // the origin's providers, drop the origin itself) and restored — no
 // O(n) mask copy and no allocation on the steady state.
-class Worker {
+class Worker final : public campaign::ChunkWorker {
  public:
   Worker(const Internet& internet, std::uint32_t columns)
       : internet_(internet),
         engine_(internet.graph()),
         columns_(columns),
+        present_(PresentColumns(columns)),
         provider_scratch_(internet.num_ases()),
         tier1_scratch_(internet.tiers().tier1_mask),
         hierarchy_scratch_(internet.tiers().tier1_mask) {
     hierarchy_scratch_ |= internet.tiers().tier2_mask;
   }
 
-  std::uint32_t ProviderFree(AsId origin) {
-    return CountWithScratch(origin, provider_scratch_);
-  }
-  std::uint32_t Tier1Free(AsId origin) { return CountWithScratch(origin, tier1_scratch_); }
-  std::uint32_t HierarchyFree(AsId origin) {
-    return CountWithScratch(origin, hierarchy_scratch_);
+  // The payload is column-major: the k-th present column's values for the
+  // chunk's origins fill payload[k * count, (k + 1) * count).
+  void Evaluate(const campaign::Chunk& chunk, std::span<std::uint32_t> payload) override {
+    for (std::size_t i = 0; i < chunk.count; ++i) {
+      AsId origin = static_cast<AsId>(chunk.begin + i);
+      std::array<std::uint32_t, kNumSweepColumns> row{};
+      if (columns_ & ColumnBit(SweepColumn::kProviderFree)) {
+        row[0] = CountWithScratch(origin, provider_scratch_);
+      }
+      if (columns_ & ColumnBit(SweepColumn::kTier1Free)) {
+        row[1] = CountWithScratch(origin, tier1_scratch_);
+      }
+      if (columns_ & ColumnBit(SweepColumn::kHierarchyFree)) {
+        row[2] = CountWithScratch(origin, hierarchy_scratch_);
+      }
+      if (columns_ & kPathColumns) PathBins(origin, &row[3], &row[4], &row[5]);
+      for (std::size_t k = 0; k < present_.size(); ++k) {
+        payload[k * chunk.count + i] = row[static_cast<std::size_t>(present_[k])];
+      }
+    }
   }
 
+ private:
   void PathBins(AsId origin, std::uint32_t* one, std::uint32_t* two,
                 std::uint32_t* three_plus) {
     AnnouncementSource source;
     source.node = origin;
     RouteComputation computation(internet_.graph(), {source});
-    *one = *two = *three_plus = 0;
     for (AsId node = 0; node < internet_.num_ases(); ++node) {
       if (node == origin) continue;
       const RouteEntry& entry = computation.Route(node);
@@ -80,9 +84,6 @@ class Worker {
     }
   }
 
-  std::uint32_t columns() const { return columns_; }
-
- private:
   // reach(origin, I \ base \ P(origin)), with the origin itself never
   // excluded — the same patch-and-restore the serial HierarchyFreeSweep
   // uses, generalized to any baseline mask.
@@ -105,25 +106,17 @@ class Worker {
   const Internet& internet_;
   ReachabilityEngine engine_;
   std::uint32_t columns_;
+  std::vector<SweepColumn> present_;
   Bitset provider_scratch_;   // empty baseline
   Bitset tier1_scratch_;      // T1 baseline
   Bitset hierarchy_scratch_;  // T1 | T2 baseline
   std::vector<AsId> flipped_;
 };
 
-std::vector<SweepColumn> PresentColumns(std::uint32_t columns) {
-  std::vector<SweepColumn> present;
-  for (std::size_t c = 0; c < kNumSweepColumns; ++c) {
-    if (columns & (1u << c)) present.push_back(static_cast<SweepColumn>(c));
-  }
-  return present;
-}
-
 }  // namespace
 
 SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
                     SweepRunStats* stats) {
-  if (options.chunk_size == 0) throw InvalidArgument("RunSweep: chunk_size must be > 0");
   if (options.columns == 0 || (options.columns >> kNumSweepColumns) != 0) {
     throw InvalidArgument(StrFormat("RunSweep: invalid column bitmask 0x%x", options.columns));
   }
@@ -139,175 +132,32 @@ SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
   table.num_origins = n;
   for (SweepColumn c : present) table.MutableColumn(c).assign(n, 0);
 
-  std::size_t num_chunks =
-      n == 0 ? 0 : (n + options.chunk_size - 1) / options.chunk_size;
-  std::vector<char> done(num_chunks, 0);
-  std::size_t chunks_resumed = 0;
-
-  SweepMeta meta;
-  meta.fingerprint = table.fingerprint;
-  meta.num_origins = n;
-  meta.columns = options.columns;
-  meta.chunk_size = options.chunk_size;
-
-  SweepJournal journal;
-  if (!options.journal_path.empty()) {
-    bool exists = std::filesystem::exists(options.journal_path);
-    if (options.resume && exists) {
-      std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> recovered;
-      journal = SweepJournal::Recover(options.journal_path, meta, &recovered);
-      for (auto& [chunk_index, values] : recovered) {
-        std::size_t begin = std::size_t{chunk_index} * options.chunk_size;
-        if (chunk_index >= num_chunks) {
-          throw Error(StrFormat("%s: journal record for chunk %u is out of range (%zu chunks)",
-                                options.journal_path.c_str(), chunk_index, num_chunks));
-        }
-        std::size_t chunk_len = std::min<std::size_t>(options.chunk_size, n - begin);
-        if (values.size() != present.size() * chunk_len) {
-          throw Error(StrFormat("%s: journal record for chunk %u holds %zu values, "
-                                "expected %zu",
-                                options.journal_path.c_str(), chunk_index, values.size(),
-                                present.size() * chunk_len));
-        }
-        std::size_t at = 0;
-        for (SweepColumn c : present) {
-          std::vector<std::uint32_t>& column = table.MutableColumn(c);
-          for (std::size_t i = 0; i < chunk_len; ++i) column[begin + i] = values[at++];
-        }
-        if (!done[chunk_index]) {
-          done[chunk_index] = 1;
-          ++chunks_resumed;
-        }
-      }
-      Counters().chunks_resumed.Increment(chunks_resumed);
-      obs::Log(obs::LogLevel::kInfo, "sweep", "resume")
-          .Kv("journal", options.journal_path)
-          .Kv("chunks_resumed", static_cast<std::uint64_t>(chunks_resumed))
-          .Kv("chunks_total", static_cast<std::uint64_t>(num_chunks));
-    } else {
-      journal = SweepJournal::Create(options.journal_path, meta);
-    }
-  }
-
-  std::atomic<std::size_t> next_chunk{0};
-  std::atomic<std::size_t> chunks_computed{0};
-  std::atomic<std::size_t> origins_computed{0};
-  std::atomic<bool> failed{false};
-  std::mutex journal_mu;
-  std::string failure;  // first worker error, guarded by journal_mu
-
-  obs::CampaignMonitor::Options monitor_options;
-  monitor_options.component = "sweep";
-  monitor_options.unit = "origins";
-  monitor_options.total_chunks = num_chunks;
-  monitor_options.resumed_chunks = chunks_resumed;
-  monitor_options.workers = options.threads > 0
-                                ? options.threads
-                                : std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  obs::CampaignMonitor monitor(monitor_options);
-
-  auto worker_loop = [&] {
-    Worker worker(internet, options.columns);
-    std::vector<std::uint32_t> payload;
-    for (;;) {
-      if (failed.load(std::memory_order_relaxed)) break;
-      if (options.max_chunks != 0 &&
-          chunks_computed.load(std::memory_order_relaxed) >= options.max_chunks) {
-        break;
-      }
-      std::size_t chunk = next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (chunk >= num_chunks) break;
-      if (done[chunk]) continue;
-
-      obs::TraceSpan chunk_span("sweep.chunk");
-      Stopwatch chunk_watch;
-      std::size_t begin = chunk * options.chunk_size;
-      std::size_t chunk_len = std::min<std::size_t>(options.chunk_size, n - begin);
-      for (std::size_t i = 0; i < chunk_len; ++i) {
-        AsId origin = static_cast<AsId>(begin + i);
-        if (table.HasColumn(SweepColumn::kProviderFree)) {
-          table.MutableColumn(SweepColumn::kProviderFree)[origin] =
-              worker.ProviderFree(origin);
-        }
-        if (table.HasColumn(SweepColumn::kTier1Free)) {
-          table.MutableColumn(SweepColumn::kTier1Free)[origin] = worker.Tier1Free(origin);
-        }
-        if (table.HasColumn(SweepColumn::kHierarchyFree)) {
-          table.MutableColumn(SweepColumn::kHierarchyFree)[origin] =
-              worker.HierarchyFree(origin);
-        }
-        if (options.columns & kPathColumns) {
-          std::uint32_t one = 0, two = 0, three_plus = 0;
-          worker.PathBins(origin, &one, &two, &three_plus);
-          if (table.HasColumn(SweepColumn::kPathOneHop)) {
-            table.MutableColumn(SweepColumn::kPathOneHop)[origin] = one;
-          }
-          if (table.HasColumn(SweepColumn::kPathTwoHops)) {
-            table.MutableColumn(SweepColumn::kPathTwoHops)[origin] = two;
-          }
-          if (table.HasColumn(SweepColumn::kPathThreePlus)) {
-            table.MutableColumn(SweepColumn::kPathThreePlus)[origin] = three_plus;
-          }
-        }
-      }
-
-      if (journal.is_open()) {
-        payload.clear();
-        payload.reserve(present.size() * chunk_len);
-        for (SweepColumn c : present) {
-          const std::vector<std::uint32_t>& column = table.Column(c);
-          payload.insert(payload.end(), column.begin() + static_cast<std::ptrdiff_t>(begin),
-                         column.begin() + static_cast<std::ptrdiff_t>(begin + chunk_len));
-        }
-        // Pool tasks must not throw; a journal I/O failure aborts the
-        // sweep cooperatively and rethrows after the pool drains.
-        {
-          std::lock_guard<std::mutex> lock(journal_mu);
-          try {
-            journal.AppendChunk(static_cast<std::uint32_t>(chunk), payload.data(),
-                                payload.size());
-          } catch (const Error& e) {
-            if (failure.empty()) failure = e.what();
-            failed.store(true, std::memory_order_relaxed);
-            break;
-          }
-        }
-        Counters().checkpoint_writes.Increment();
-      }
-
-      chunks_computed.fetch_add(1, std::memory_order_relaxed);
-      origins_computed.fetch_add(chunk_len, std::memory_order_relaxed);
-      Counters().chunks_completed.Increment();
-      Counters().origins_computed.Increment(chunk_len);
-      monitor.ChunkDone(chunk, chunk_watch.ElapsedSeconds() * 1000.0, chunk_len);
-      if (options.throttle_chunk_ms > 0) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(options.throttle_chunk_ms));
-      }
+  campaign::ChunkPlan plan;
+  plan.component = "sweep";
+  plan.op = "RunSweep";
+  plan.unit = "origins";
+  plan.units_counter = "origins_computed";
+  plan.num_units = n;
+  plan.chunk_size = options.chunk_size;
+  plan.words_per_unit = present.size();
+  plan.fingerprint = table.fingerprint;
+  plan.columns = options.columns;
+  auto make_worker = [&] { return std::make_unique<Worker>(internet, options.columns); };
+  auto apply = [&](const campaign::Chunk& chunk, std::span<const std::uint32_t> payload) {
+    for (std::size_t k = 0; k < present.size(); ++k) {
+      std::vector<std::uint32_t>& column = table.MutableColumn(present[k]);
+      std::copy_n(payload.data() + k * chunk.count, chunk.count, column.data() + chunk.begin);
     }
   };
+  campaign::RunStats run = campaign::RunChunks(plan, options, make_worker, apply);
 
-  {
-    ThreadPool pool(options.threads);
-    std::size_t workers = pool.thread_count() > 0 ? pool.thread_count() : 1;
-    for (std::size_t w = 0; w < workers; ++w) pool.Submit(worker_loop);
-    pool.Wait();
-  }
-  journal.Close();
-  if (failed.load()) throw Error("RunSweep: " + failure);
-
-  double seconds = stopwatch.ElapsedSeconds();
-  std::size_t computed = chunks_computed.load();
-  if (seconds > 0.0) {
-    Counters().origins_per_sec.Set(
-        static_cast<std::int64_t>(static_cast<double>(origins_computed.load()) / seconds));
-  }
   if (stats != nullptr) {
-    stats->chunks_total = num_chunks;
-    stats->chunks_resumed = chunks_resumed;
-    stats->chunks_computed = computed;
-    stats->origins_computed = origins_computed.load();
-    stats->complete = chunks_resumed + computed >= num_chunks;
-    stats->seconds = seconds;
+    stats->chunks_total = run.chunks_total;
+    stats->chunks_resumed = run.chunks_resumed;
+    stats->chunks_computed = run.chunks_computed;
+    stats->origins_computed = run.units_computed;
+    stats->complete = run.complete;
+    stats->seconds = stopwatch.ElapsedSeconds();
   }
   return table;
 }
@@ -324,10 +174,7 @@ std::vector<std::uint32_t> ParallelHierarchyFreeSweep(const Internet& internet,
 void FinalizeSweepStore(const std::string& path, const SweepTable& table,
                         const std::string& journal_path) {
   WriteSweepStore(path, table);
-  if (!journal_path.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(journal_path, ec);  // best-effort cleanup
-  }
+  campaign::RemoveJournal(journal_path);
 }
 
 }  // namespace flatnet::sweep

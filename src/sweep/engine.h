@@ -1,19 +1,12 @@
 // Sharded all-origins batch sweep engine.
 //
 // Computes the paper's per-origin reachability metrics (and optionally
-// the Fig 13 path-length bins) for EVERY AS in a topology. The origin
-// space is split into fixed-size chunks; worker tasks on the existing
-// ThreadPool claim chunks dynamically off a shared atomic cursor (idle
-// workers pull the next unclaimed chunk, so an uneven chunk never strands
-// a core). Each worker owns a thread-local ReachabilityEngine plus
-// reusable exclusion-mask scratch — zero per-origin allocation on the
-// default reachability columns.
-//
-// With a journal path set, every completed chunk is appended to a
-// checkpoint journal (sweep/journal.h); a killed run resumed with
-// `resume = true` recomputes only the missing chunks and — because every
-// per-origin value is deterministic and the store is written in origin
-// order — produces a byte-identical store to an uninterrupted run.
+// the Fig 13 path-length bins) for EVERY AS in a topology. Chunks of
+// origins run through campaign::RunChunks (campaign/runner.h), which owns
+// the worker pool, journal and resume. Each worker owns a ReachabilityEngine
+// plus reusable exclusion-mask scratch — zero per-origin allocation on the
+// default reachability columns. Every origin's values are deterministic, so
+// a killed run resumed with `resume = true` produces a byte-identical store.
 //
 // Instrumented with src/obs/: sweep.chunks_completed / chunks_resumed /
 // checkpoint_writes / origins_computed counters, a sweep.origins_per_sec
@@ -25,29 +18,17 @@
 #include <string>
 #include <vector>
 
+#include "campaign/runner.h"
 #include "core/internet.h"
 #include "sweep/store.h"
 
 namespace flatnet::sweep {
 
-struct SweepOptions {
-  // Worker parallelism; 0 = hardware concurrency.
-  std::size_t threads = 0;
+struct SweepOptions : campaign::RunOptions {
   // Origins per chunk — the unit of claiming and of checkpointing.
   std::uint32_t chunk_size = 256;
   // Bitmask of SweepColumn values to compute (kReachColumns by default).
   std::uint32_t columns = kReachColumns;
-  // When non-empty, completed chunks are journaled here.
-  std::string journal_path;
-  // Resume from an existing journal at journal_path (fresh start when the
-  // file does not exist). The journal must match this topology and these
-  // options; a mismatch throws rather than silently recomputing.
-  bool resume = false;
-  // Test/smoke hooks: stop after this many freshly computed chunks
-  // (0 = run to completion), and sleep per completed chunk so an external
-  // kill can land mid-run on small topologies.
-  std::uint32_t max_chunks = 0;
-  std::uint32_t throttle_chunk_ms = 0;
 };
 
 struct SweepRunStats {

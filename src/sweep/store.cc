@@ -1,8 +1,6 @@
 #include "sweep/store.h"
 
-#include <cstring>
-
-#include "sweep/fingerprint.h"
+#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -99,11 +97,8 @@ SweepStore SweepStore::Load(const std::string& path) {
   std::size_t offset = kHeaderBytes;
   for (std::size_t c = 0; c < kNumSweepColumns; ++c) {
     if ((table.columns & (1u << c)) == 0) continue;
-    auto& column = table.data[c];
-    column.resize(table.num_origins);
-    std::memcpy(column.data(), bytes.data() + offset,
-                table.num_origins * sizeof(std::uint32_t));
-    offset += table.num_origins * sizeof(std::uint32_t);
+    table.data[c].resize(table.num_origins);
+    colstore::ReadColumn(bytes, offset, table.data[c]);
   }
   SweepStore store;
   store.table_ = std::move(table);

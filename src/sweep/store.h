@@ -2,7 +2,7 @@
 //
 // A `.sweep` file holds one fixed-width u32 column per metric for every
 // origin in a topology, bound to that topology by its fingerprint
-// (sweep/fingerprint.h). Layout (native-endian):
+// (core/fingerprint.h). Layout (native-endian):
 //
 //   header   magic "FNSWEEP1" (8) | version u32 | columns bitmask u32 |
 //            num_origins u64 | fingerprint u64 | reserved u32

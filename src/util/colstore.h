@@ -15,6 +15,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace flatnet::colstore {
 
@@ -48,6 +49,16 @@ T ReadScalar(std::string_view bytes, std::size_t offset) {
   T value;
   std::memcpy(&value, bytes.data() + offset, sizeof(value));
   return value;
+}
+
+// Fills `column` (already sized) from `bytes` at `offset` and advances
+// `offset` past it. An empty column copies nothing: memcpy into the null
+// data() of an empty vector is undefined even for zero bytes.
+template <typename T>
+void ReadColumn(std::string_view bytes, std::size_t& offset, std::vector<T>& column) {
+  std::size_t len = column.size() * sizeof(T);
+  if (len != 0) std::memcpy(column.data(), bytes.data() + offset, len);
+  offset += len;
 }
 
 // Writes the 12-byte prologue shared by every store: magic + version.

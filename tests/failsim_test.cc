@@ -16,9 +16,9 @@
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
 #include "bgp/reachability.h"
+#include "core/fingerprint.h"
 #include "failsim/engine.h"
 #include "failsim/store.h"
-#include "sweep/fingerprint.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -355,7 +355,7 @@ TEST_F(FailsimTest, StoreRoundTripsAndValidates) {
 
   FailStore store = FailStore::Load(path);
   EXPECT_NO_THROW(store.ValidateAgainst(internet()));
-  EXPECT_EQ(store.fingerprint(), sweep::TopologyFingerprint(internet()));
+  EXPECT_EQ(store.fingerprint(), TopologyFingerprint(internet()));
   EXPECT_EQ(store.campaign_fingerprint(), table.campaign_fingerprint);
   EXPECT_FALSE(store.has_users());
   ASSERT_EQ(store.num_cells(), cells.size());

@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "asgraph/as_graph.h"
+#include "core/fingerprint.h"
 #include "core/leak_scenarios.h"
 #include "leaksim/engine.h"
 #include "leaksim/store.h"
-#include "sweep/fingerprint.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -150,7 +150,7 @@ TEST_F(LeaksimTest, StoreRoundTripsAndValidates) {
 
   LeakStore store = LeakStore::Load(path);
   EXPECT_NO_THROW(store.ValidateAgainst(internet()));
-  EXPECT_EQ(store.fingerprint(), sweep::TopologyFingerprint(internet()));
+  EXPECT_EQ(store.fingerprint(), TopologyFingerprint(internet()));
   EXPECT_FALSE(store.has_users());
   ASSERT_EQ(store.num_cells(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -362,6 +362,16 @@ TEST_F(LeaksimTest, ZeroTrialCampaignIsEmptyNotAnError) {
   EXPECT_EQ(stats.trials_evaluated, 0u);
   EXPECT_EQ(table.cells[0].collected(), 0u);
   EXPECT_FALSE(table.cells[0].UnderCollected());
+
+  // The empty cell survives the store round-trip (its empty column is
+  // read without touching the column's null data()).
+  std::string path = TempPath("flatnet_leaksim_zero_trials.leak");
+  leaksim::WriteLeakStore(path, table);
+  LeakStore store = LeakStore::Load(path);
+  ASSERT_EQ(store.num_cells(), 1u);
+  EXPECT_EQ(store.cell(0).spec, spec);
+  EXPECT_EQ(store.cell(0).collected(), 0u);
+  std::filesystem::remove(path);
 }
 
 TEST_F(LeaksimTest, CampaignRejectsBadInputs) {

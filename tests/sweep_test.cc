@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "bgp/reachability.h"
+#include "core/fingerprint.h"
 #include "core/reachability_analysis.h"
 #include "sweep/engine.h"
-#include "sweep/fingerprint.h"
-#include "sweep/journal.h"
 #include "sweep/store.h"
 #include "topogen/generate.h"
 #include "util/error.h"
@@ -23,13 +22,10 @@ namespace {
 using sweep::ColumnBit;
 using sweep::RunSweep;
 using sweep::SweepColumn;
-using sweep::SweepJournal;
-using sweep::SweepMeta;
 using sweep::SweepOptions;
 using sweep::SweepRunStats;
 using sweep::SweepStore;
 using sweep::SweepTable;
-using sweep::TopologyFingerprint;
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -283,39 +279,6 @@ TEST_F(SweepTest, ResumeSurvivesATornJournalTail) {
   EXPECT_EQ(ReadFileBytes(resumed_store), ReadFileBytes(reference_store));
   std::filesystem::remove(reference_store);
   std::filesystem::remove(resumed_store);
-}
-
-TEST_F(SweepTest, JournalRejectsMismatchedMeta) {
-  std::string path = TempPath("flatnet_sweep_meta.journal");
-  SweepMeta meta;
-  meta.fingerprint = 0xabcdef;
-  meta.num_origins = 500;
-  meta.columns = ColumnBit(SweepColumn::kHierarchyFree);
-  meta.chunk_size = 32;
-  {
-    SweepJournal created = SweepJournal::Create(path, meta);
-    std::uint32_t values[32] = {1, 2, 3};
-    created.AppendChunk(0, values, 32);
-  }
-
-  std::vector<std::pair<std::uint32_t, std::vector<std::uint32_t>>> chunks;
-  SweepJournal recovered = SweepJournal::Recover(path, meta, &chunks);
-  recovered.Close();
-  ASSERT_EQ(chunks.size(), 1u);
-  EXPECT_EQ(chunks[0].first, 0u);
-  EXPECT_EQ(chunks[0].second.size(), 32u);
-
-  // Any keyed field changing (here: chunk size, then fingerprint) must
-  // refuse the journal instead of resuming against the wrong inputs.
-  SweepMeta wrong_chunk = meta;
-  wrong_chunk.chunk_size = 64;
-  chunks.clear();
-  EXPECT_THROW(SweepJournal::Recover(path, wrong_chunk, &chunks), Error);
-  SweepMeta wrong_topology = meta;
-  wrong_topology.fingerprint = 0x1234;
-  chunks.clear();
-  EXPECT_THROW(SweepJournal::Recover(path, wrong_topology, &chunks), Error);
-  std::filesystem::remove(path);
 }
 
 TEST_F(SweepTest, PathColumnsBinByRouteLength) {

@@ -25,13 +25,13 @@
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
+#include "campaign/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "failsim/engine.h"
@@ -40,7 +40,6 @@
 #include "obs/recorder.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -84,23 +83,14 @@ bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>*
   return !out->empty();
 }
 
-void PrintSeries(const char* label, std::vector<double> f) {
-  double mean =
-      f.empty() ? 0.0
-                : std::accumulate(f.begin(), f.end(), 0.0) / static_cast<double>(f.size());
-  std::printf("%s mean %.2f%%  median %.2f%%  p90 %.2f%%  p99 %.2f%%  max %.2f%%\n", label,
-              100 * mean, 100 * Quantile(f, 0.5), 100 * Quantile(f, 0.9),
-              100 * Quantile(f, 0.99), 100 * Quantile(f, 1.0));
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string stem;
   std::string out;
   std::string metrics_out;
-  std::optional<std::uint64_t> origin_asn;
-  std::size_t trials = 32;
+  std::optional<Asn> origin_asn;
+  std::uint32_t trials = 32;
   std::size_t origins = 0;
   std::size_t top = 10;
   std::uint64_t seed = 1;
@@ -116,16 +106,12 @@ int main(int argc, char** argv) {
   failsim::FailCampaignOptions options;
 
   for (int i = 1; i < argc; ++i) {
+    campaign::FlagStatus run_flag =
+        campaign::ParseRunFlag(argc, argv, &i, &options, &options.chunk_trials);
+    if (run_flag == campaign::FlagStatus::kBad) return Usage();
+    if (run_flag == campaign::FlagStatus::kParsed) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* value) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *value = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
     if (arg == "--log-level") {
       const char* v = next();
       auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
@@ -140,42 +126,22 @@ int main(int argc, char** argv) {
       if (!v) return Usage();
       out = v;
     } else if (arg == "--origin") {
-      if (!next_u64(&value)) return Usage();
-      origin_asn = value;
+      if (!campaign::NextUnsigned(argc, argv, &i, &origin_asn.emplace())) return Usage();
     } else if (arg == "--origins") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      origins = static_cast<std::size_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &origins) || origins == 0) return Usage();
     } else if (arg == "--trials") {
-      if (!next_u64(&value)) return Usage();
-      trials = static_cast<std::size_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &trials)) return Usage();
     } else if (arg == "--seed") {
-      if (!next_u64(&value)) return Usage();
-      seed = value;
+      if (!campaign::NextUnsigned(argc, argv, &i, &seed)) return Usage();
     } else if (arg == "--top") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      top = static_cast<std::size_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &top) || top == 0) return Usage();
     } else if (arg == "--severity") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      severity = static_cast<std::uint32_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &severity) || severity == 0) return Usage();
     } else if (arg == "--trim") {
       const char* v = next();
       auto parsed = v ? ParseDouble(v) : std::nullopt;
       if (!parsed || *parsed < 0.0 || *parsed >= 0.5) return Usage();
       options.hegemony_trim = *parsed;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = value;
-    } else if (arg == "--chunk") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      options.chunk_trials = static_cast<std::uint32_t>(value);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--throttle-chunk-ms") {
-      if (!next_u64(&value)) return Usage();
-      options.throttle_chunk_ms = static_cast<std::uint32_t>(value);
-    } else if (arg == "--max-chunks") {
-      if (!next_u64(&value)) return Usage();
-      options.max_chunks = static_cast<std::uint32_t>(value);
     } else if (arg == "--hegemony") {
       hegemony_mode = true;
     } else if (arg == "--users") {
@@ -269,7 +235,7 @@ int main(int argc, char** argv) {
         spec.scenario = scenario;
         spec.severity = scenario == failsim::FailScenario::kLinkSet ? severity : 0;
         spec.seed = master.NextU64();  // == Rng::Fork per cell
-        spec.trials = static_cast<std::uint32_t>(trials);
+        spec.trials = trials;
         cells.push_back(spec);
       }
     }
@@ -288,18 +254,8 @@ int main(int argc, char** argv) {
 
     failsim::FailCampaignStats stats;
     failsim::FailTable table = failsim::RunFailureCampaign(internet, cells, options, &stats);
-    std::fprintf(stderr,
-                 "campaign: %zu/%zu chunks computed (%zu resumed), %zu trials in %.2fs "
-                 "(%.0f trials/s)\n",
-                 stats.chunks_computed, stats.chunks_total, stats.chunks_resumed,
-                 stats.trials_evaluated, stats.seconds,
-                 stats.seconds > 0 ? static_cast<double>(stats.trials_evaluated) / stats.seconds
-                                   : 0.0);
-    if (!stats.complete) {
-      // A --max-chunks run leaves the journal in place so the next
-      // --resume invocation picks up where this one stopped.
-      std::fprintf(stderr, "partial run (--max-chunks): journal kept at %s, no store written\n",
-                   options.journal_path.c_str());
+    if (!campaign::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
+                             options.journal_path)) {
       return finish(0);
     }
 
@@ -314,7 +270,7 @@ int main(int argc, char** argv) {
       }
       std::string label = StrFormat("AS%llu %-18s loss", static_cast<unsigned long long>(asn),
                                     ToString(cell.spec.scenario));
-      PrintSeries(label.c_str(), cell.loss_ases);
+      campaign::PrintSeries(label.c_str(), cell.loss_ases);
     }
     failsim::FinalizeFailStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());

@@ -24,11 +24,11 @@
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
 #include <cstdio>
-#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/cli.h"
 #include "core/leak_scenarios.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
@@ -38,7 +38,6 @@
 #include "obs/recorder.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/stats.h"
 #include "util/strings.h"
 
 using namespace flatnet;
@@ -65,15 +64,6 @@ constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
     LeakScenario::kAnnounceHierarchyOnly,
 };
 
-void PrintSeries(const char* label, std::vector<double> f) {
-  double mean =
-      f.empty() ? 0.0
-                : std::accumulate(f.begin(), f.end(), 0.0) / static_cast<double>(f.size());
-  std::printf("%s mean %.2f%%  median %.2f%%  p90 %.2f%%  p99 %.2f%%  max %.2f%%\n", label,
-              100 * mean, 100 * Quantile(f, 0.5), 100 * Quantile(f, 0.9),
-              100 * Quantile(f, 0.99), 100 * Quantile(f, 1.0));
-}
-
 void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t collected,
                         std::size_t requested, std::size_t attempts) {
   std::fprintf(stderr,
@@ -91,8 +81,8 @@ int main(int argc, char** argv) {
   std::string stem;
   std::string out;
   std::string metrics_out;
-  std::optional<std::uint64_t> victim_asn;
-  std::size_t trials = 500;
+  std::optional<Asn> victim_asn;
+  std::uint32_t trials = 500;
   std::size_t victims = 0;
   std::uint64_t seed = 1;
   LeakScenario scenario = LeakScenario::kAnnounceAll;
@@ -103,16 +93,12 @@ int main(int argc, char** argv) {
   leaksim::LeakCampaignOptions options;
 
   for (int i = 1; i < argc; ++i) {
+    campaign::FlagStatus run_flag =
+        campaign::ParseRunFlag(argc, argv, &i, &options, &options.chunk_trials);
+    if (run_flag == campaign::FlagStatus::kBad) return Usage();
+    if (run_flag == campaign::FlagStatus::kParsed) continue;
     std::string arg = argv[i];
     auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* value) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *value = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
     if (arg == "--log-level") {
       const char* v = next();
       auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
@@ -127,31 +113,13 @@ int main(int argc, char** argv) {
       if (!v) return Usage();
       out = v;
     } else if (arg == "--victim") {
-      if (!next_u64(&value)) return Usage();
-      victim_asn = value;
+      if (!campaign::NextUnsigned(argc, argv, &i, &victim_asn.emplace())) return Usage();
     } else if (arg == "--victims") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      victims = static_cast<std::size_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &victims) || victims == 0) return Usage();
     } else if (arg == "--trials") {
-      if (!next_u64(&value)) return Usage();
-      trials = static_cast<std::size_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &trials)) return Usage();
     } else if (arg == "--seed") {
-      if (!next_u64(&value)) return Usage();
-      seed = value;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      options.threads = value;
-    } else if (arg == "--chunk") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      options.chunk_trials = static_cast<std::uint32_t>(value);
-    } else if (arg == "--resume") {
-      options.resume = true;
-    } else if (arg == "--throttle-chunk-ms") {
-      if (!next_u64(&value)) return Usage();
-      options.throttle_chunk_ms = static_cast<std::uint32_t>(value);
-    } else if (arg == "--max-chunks") {
-      if (!next_u64(&value)) return Usage();
-      options.max_chunks = static_cast<std::uint32_t>(value);
+      if (!campaign::NextUnsigned(argc, argv, &i, &seed)) return Usage();
     } else if (arg == "--campaign") {
       campaign = true;
     } else if (arg == "--users") {
@@ -242,7 +210,7 @@ int main(int argc, char** argv) {
                      series.attempts);
         return finish(1);
       }
-      PrintSeries("ASes detoured:", series.fraction_ases_detoured);
+      campaign::PrintSeries("ASes detoured:", series.fraction_ases_detoured);
       return finish(0);
     }
 
@@ -271,7 +239,7 @@ int main(int argc, char** argv) {
         spec.scenario = s;
         spec.lock_mode = mode;
         spec.seed = master.NextU64();  // == Rng::Fork per cell
-        spec.trials = static_cast<std::uint32_t>(trials);
+        spec.trials = trials;
         cells.push_back(spec);
       }
     }
@@ -290,18 +258,8 @@ int main(int argc, char** argv) {
 
     leaksim::LeakCampaignStats stats;
     leaksim::LeakTable table = leaksim::RunLeakCampaign(internet, cells, options, &stats);
-    std::fprintf(stderr,
-                 "campaign: %zu/%zu chunks computed (%zu resumed), %zu trials in %.2fs "
-                 "(%.0f trials/s)\n",
-                 stats.chunks_computed, stats.chunks_total, stats.chunks_resumed,
-                 stats.trials_evaluated, stats.seconds,
-                 stats.seconds > 0 ? static_cast<double>(stats.trials_evaluated) / stats.seconds
-                                   : 0.0);
-    if (!stats.complete) {
-      // A --max-chunks run leaves the journal in place so the next
-      // --resume invocation picks up where this one stopped.
-      std::fprintf(stderr, "partial run (--max-chunks): journal kept at %s, no store written\n",
-                   options.journal_path.c_str());
+    if (!campaign::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
+                             options.journal_path)) {
       return finish(0);
     }
 
@@ -314,7 +272,7 @@ int main(int argc, char** argv) {
       std::string label =
           StrFormat("AS%llu %-36s", static_cast<unsigned long long>(asn),
                     ToString(cell.spec.scenario));
-      PrintSeries(label.c_str(), cell.fraction_ases);
+      campaign::PrintSeries(label.c_str(), cell.fraction_ases);
     }
     leaksim::FinalizeLeakStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());
