@@ -24,7 +24,7 @@ int main() {
   const Internet& internet = bench::Internet2020();
   std::size_t n = internet.num_ases();
 
-  std::vector<std::uint32_t> reach = sweep::ParallelHierarchyFreeSweep(internet);
+  std::vector<std::uint32_t> reach = sweep::HierarchyFreeSweep(internet);
   std::vector<std::uint32_t> cones = CustomerConeSizes(internet.graph());
 
   // Scatter summary: bucket the plane (log-scale cone axis) per AS type.

@@ -4,10 +4,13 @@
 // computation, and prefix-trie lookups.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 
 #include "asgraph/cone.h"
+#include "bgp/batch_reach.h"
 #include "bgp/leak.h"
 #include "bgp/propagation.h"
 #include "bgp/reachability.h"
@@ -69,7 +72,7 @@ BENCHMARK(BM_ReachabilityHierarchyFree);
 
 // Reuse-path delta: the three ways to consume a BFS. Compute allocates a
 // fresh bitset per origin; ComputeInto recycles one caller-owned bitset;
-// Count never materializes the set at all (what the sweep workers use).
+// Count never materializes the set at all.
 void BM_ReachabilityComputeAlloc(benchmark::State& state) {
   const World& world = BenchWorld();
   ReachabilityEngine engine(world.full_graph);
@@ -132,19 +135,39 @@ void BM_ReachabilityLinkFailure(benchmark::State& state) {
 }
 BENCHMARK(BM_ReachabilityLinkFailure);
 
+// One batch of the sweep's bit-parallel kernel: all three reach columns
+// for 64 consecutive origins at a random offset. Items are origins, so the
+// per-item time is what the sweep pays per origin.
+void BM_ReachabilityBatch64(benchmark::State& state) {
+  const Internet& internet = BenchInternet();
+  const TierSets& tiers = internet.tiers();
+  BatchReachLayout layout(internet.graph(), tiers.tier1_mask, tiers.HierarchyMask());
+  BatchReachEngine engine(layout);
+  std::array<AsId, kBatchLanes> origins{};
+  Rng rng(6);
+  for (auto _ : state) {
+    auto first = static_cast<AsId>(rng.UniformU64(internet.num_ases() - kBatchLanes + 1));
+    std::iota(origins.begin(), origins.end(), first);
+    engine.Run(origins);
+    benchmark::DoNotOptimize(engine.Count(kBatchColumns - 1, kBatchLanes - 1));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kBatchLanes));
+}
+BENCHMARK(BM_ReachabilityBatch64);
+
 // All-origins hierarchy-free sweep through the sharded engine; Arg is the
 // thread count, so the 1-vs-8 ratio is the parallel speedup.
-void BM_ParallelHierarchyFreeSweep(benchmark::State& state) {
+void BM_HierarchyFreeSweep(benchmark::State& state) {
   const Internet& internet = BenchInternet();
   for (auto _ : state) {
-    std::vector<std::uint32_t> reach = sweep::ParallelHierarchyFreeSweep(
+    std::vector<std::uint32_t> reach = sweep::HierarchyFreeSweep(
         internet, static_cast<std::size_t>(state.range(0)));
     benchmark::DoNotOptimize(reach.data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(internet.num_ases()));
 }
-BENCHMARK(BM_ParallelHierarchyFreeSweep)
+BENCHMARK(BM_HierarchyFreeSweep)
     ->Arg(1)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond)

@@ -27,7 +27,7 @@ struct Sweep {
 Sweep RunSweep(const Internet& internet) {
   Sweep sweep;
   Stopwatch sw;
-  sweep.reach = sweep::ParallelHierarchyFreeSweep(internet);
+  sweep.reach = sweep::HierarchyFreeSweep(internet);
   std::fprintf(stderr, "[bench] hierarchy-free sweep over %zu ASes: %.1fs\n",
                internet.num_ases(), sw.ElapsedSeconds());
   sweep.ranking.resize(internet.num_ases());

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "bgp/batch_reach.h"
 #include "bgp/event_engine.h"
 #include "bgp/paths.h"
 #include "bgp/propagation.h"
@@ -255,6 +256,56 @@ DiffReport RunDiffCase(const AsGraph& graph, const DiffCaseConfig& config) {
     }
   }
 
+  return DiffReport{};
+}
+
+DiffReport RunBatchReachCase(const AsGraph& graph, std::uint64_t case_seed) {
+  std::size_t n = graph.num_ases();
+  if (n == 0) return Fail("config", "empty graph", graph);
+  Rng rng(case_seed);
+  auto n32 = static_cast<std::uint32_t>(n);
+  auto lanes = static_cast<std::uint32_t>(1 + rng.UniformU64(std::min(n, kBatchLanes)));
+  std::vector<std::uint32_t> origins = rng.SampleWithoutReplacement(n32, lanes);
+  // A small baseline (Tier-1-sized) and a larger one; neither spares any
+  // origin, so the kernel's own-origin exemption is exercised too.
+  Bitset base1 = DrawDistinct(rng, n, kInvalidAsId, 1 + rng.UniformU64(n / 32 + 1));
+  Bitset base2 = DrawDistinct(rng, n, kInvalidAsId, 1 + rng.UniformU64(n / 4 + 1));
+
+  BatchReachLayout layout(graph, base1, base2);
+  BatchReachEngine batch(layout);
+  batch.Run(origins);
+  ReachabilityEngine engine(graph);
+  Bitset bfs;
+  const Bitset* baselines[kBatchColumns] = {nullptr, &base1, &base2};
+  for (std::size_t lane = 0; lane < origins.size(); ++lane) {
+    AsId origin = origins[lane];
+    for (std::size_t c = 0; c < kBatchColumns; ++c) {
+      Bitset mask = baselines[c] != nullptr ? *baselines[c] : Bitset(n);
+      for (AsId provider : graph.ProviderIds(origin)) mask.Set(provider);
+      mask.Reset(origin);
+      engine.ComputeInto(origin, &mask, bfs);
+      Bitset lane_set = batch.ReachedSet(c, lane);
+      std::string where =
+          StrFormat("column %zu lane %zu origin AS%u", c, lane, graph.AsnOf(origin));
+      if (!(lane_set == bfs)) {
+        for (AsId node = 0; node < n; ++node) {
+          if (lane_set.Test(node) != bfs.Test(node)) {
+            return Fail("batch.set",
+                        StrFormat("%s: bfs=%s batch=%s", where.c_str(),
+                                  bfs.Test(node) ? "reached" : "not",
+                                  lane_set.Test(node) ? "reached" : "not"),
+                        graph, node);
+          }
+        }
+      }
+      if (batch.Count(c, lane) != bfs.Count() - 1) {
+        return Fail("batch.count",
+                    StrFormat("%s: bfs=%zu batch=%u", where.c_str(), bfs.Count() - 1,
+                              batch.Count(c, lane)),
+                    graph);
+      }
+    }
+  }
   return DiffReport{};
 }
 

@@ -11,7 +11,8 @@
 // same case seed) and hold the BFS's link filter to the phase engine run
 // on the graph rebuilt without those links.
 // RunDiffCase executes one such tuple and reports the first divergence;
-// tools/flatnet_diffcheck drives it at fuzz scale and logs reproducers.
+// RunBatchReachCase holds the sweep's bit-parallel kernel to the BFS;
+// tools/flatnet_diffcheck drives both at fuzz scale and logs reproducers.
 #ifndef FLATNET_CHECK_DIFF_H_
 #define FLATNET_CHECK_DIFF_H_
 
@@ -64,6 +65,13 @@ struct DiffReport {
 // Runs all applicable engines plus the structural invariants on one
 // configuration. Deterministic in (graph, config).
 DiffReport RunDiffCase(const AsGraph& graph, const DiffCaseConfig& config);
+
+// One batch of the sweep's kernel (bgp/batch_reach.h): up to 64 origins
+// and two random baseline sets B1, B2, all drawn from `case_seed`. Every
+// lane's reached set in column c must be bit-equal to
+// ReachabilityEngine::ComputeInto under (B_c ∪ P(o)) \ {o}, with B_0 = ∅,
+// and its count must match. Deterministic in (graph, case_seed).
+DiffReport RunBatchReachCase(const AsGraph& graph, std::uint64_t case_seed);
 
 }  // namespace flatnet::check
 

@@ -17,31 +17,6 @@ ReachabilitySummary AnalyzeReachability(const Internet& internet, AsId origin) {
   return summary;
 }
 
-std::vector<std::uint32_t> HierarchyFreeSweep(const Internet& internet) {
-  std::size_t n = internet.num_ases();
-  std::vector<std::uint32_t> result(n, 0);
-  ReachabilityEngine engine(internet.graph());
-  // One shared base mask; per-origin provider bits are set and restored,
-  // avoiding an O(n) mask copy per origin.
-  Bitset mask = internet.tiers().tier1_mask;
-  mask |= internet.tiers().tier2_mask;
-  for (AsId origin = 0; origin < n; ++origin) {
-    bool origin_in_hierarchy = mask.Test(origin);
-    if (origin_in_hierarchy) mask.Reset(origin);
-    std::vector<AsId> flipped;
-    for (const Neighbor& nb : internet.graph().Providers(origin)) {
-      if (!mask.Test(nb.id)) {
-        mask.Set(nb.id);
-        flipped.push_back(nb.id);
-      }
-    }
-    result[origin] = static_cast<std::uint32_t>(engine.Count(origin, &mask));
-    for (AsId id : flipped) mask.Reset(id);
-    if (origin_in_hierarchy) mask.Set(origin);
-  }
-  return result;
-}
-
 Bitset HierarchyFreeUnreachable(const Internet& internet, AsId origin) {
   ReachabilityEngine engine(internet.graph());
   Bitset mask = internet.HierarchyFreeExclusion(origin);

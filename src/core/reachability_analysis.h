@@ -2,7 +2,6 @@
 #ifndef FLATNET_CORE_REACHABILITY_ANALYSIS_H_
 #define FLATNET_CORE_REACHABILITY_ANALYSIS_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "asgraph/metadata.h"
@@ -19,9 +18,6 @@ struct ReachabilitySummary {
 
 // The three nested reachability figures for one origin.
 ReachabilitySummary AnalyzeReachability(const Internet& internet, AsId origin);
-
-// Hierarchy-free reachability for every AS (Fig 3 / Table 1 sweeps).
-std::vector<std::uint32_t> HierarchyFreeSweep(const Internet& internet);
 
 // The set of ASes `origin` cannot reach hierarchy-free (§6.7).
 Bitset HierarchyFreeUnreachable(const Internet& internet, AsId origin);

@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <numeric>
+#include <optional>
+#include <span>
 
+#include "bgp/batch_reach.h"
 #include "bgp/propagation.h"
-#include "bgp/reachability.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
 #include "core/fingerprint.h"
@@ -25,41 +28,47 @@ std::vector<SweepColumn> PresentColumns(std::uint32_t columns) {
   return present;
 }
 
-// Thread-local compute state: one BFS engine plus one reusable scratch
-// mask per baseline exclusion set. Per origin the scratch is patched (set
-// the origin's providers, drop the origin itself) and restored — no
-// O(n) mask copy and no allocation on the steady state.
+// Kernel column c is SweepColumn c: the same baselines in the same order.
+static_assert(static_cast<std::size_t>(SweepColumn::kHierarchyFree) + 1 == kBatchColumns);
+
+// Thread-local compute state. The reach columns come from the bit-parallel
+// kernel (bgp/batch_reach.h) over the layout RunSweep builds once: a chunk
+// fills ceil(count / 64) batches of consecutive origins, so chunks of fewer
+// than 64 origins leave lanes idle. The path columns stay one
+// RouteComputation per origin.
 class Worker final : public campaign::ChunkWorker {
  public:
-  Worker(const Internet& internet, std::uint32_t columns)
+  Worker(const Internet& internet, const BatchReachLayout* layout, std::uint32_t columns)
       : internet_(internet),
-        engine_(internet.graph()),
-        columns_(columns),
         present_(PresentColumns(columns)),
-        provider_scratch_(internet.num_ases()),
-        tier1_scratch_(internet.tiers().tier1_mask),
-        hierarchy_scratch_(internet.tiers().tier1_mask) {
-    hierarchy_scratch_ |= internet.tiers().tier2_mask;
+        has_paths_((columns & kPathColumns) != 0) {
+    if (layout != nullptr) batch_.emplace(*layout);
   }
 
   // The payload is column-major: the k-th present column's values for the
   // chunk's origins fill payload[k * count, (k + 1) * count).
   void Evaluate(const campaign::Chunk& chunk, std::span<std::uint32_t> payload) override {
-    for (std::size_t i = 0; i < chunk.count; ++i) {
-      AsId origin = static_cast<AsId>(chunk.begin + i);
-      std::array<std::uint32_t, kNumSweepColumns> row{};
-      if (columns_ & ColumnBit(SweepColumn::kProviderFree)) {
-        row[0] = CountWithScratch(origin, provider_scratch_);
-      }
-      if (columns_ & ColumnBit(SweepColumn::kTier1Free)) {
-        row[1] = CountWithScratch(origin, tier1_scratch_);
-      }
-      if (columns_ & ColumnBit(SweepColumn::kHierarchyFree)) {
-        row[2] = CountWithScratch(origin, hierarchy_scratch_);
-      }
-      if (columns_ & kPathColumns) PathBins(origin, &row[3], &row[4], &row[5]);
+    std::array<AsId, kBatchLanes> origins{};
+    for (std::size_t start = 0; batch_ && start < chunk.count; start += kBatchLanes) {
+      std::size_t lanes = std::min(kBatchLanes, chunk.count - start);
+      std::span<AsId> batch(origins.data(), lanes);
+      std::iota(batch.begin(), batch.end(), static_cast<AsId>(chunk.begin + start));
+      batch_->Run(batch);
       for (std::size_t k = 0; k < present_.size(); ++k) {
-        payload[k * chunk.count + i] = row[static_cast<std::size_t>(present_[k])];
+        auto column = static_cast<std::size_t>(present_[k]);
+        if (column >= kBatchColumns) continue;
+        for (std::size_t lane = 0; lane < lanes; ++lane) {
+          payload[k * chunk.count + start + lane] = batch_->Count(column, lane);
+        }
+      }
+    }
+    if (!has_paths_) return;
+    for (std::size_t i = 0; i < chunk.count; ++i) {
+      std::array<std::uint32_t, kNumSweepColumns> row{};
+      PathBins(static_cast<AsId>(chunk.begin + i), &row[3], &row[4], &row[5]);
+      for (std::size_t k = 0; k < present_.size(); ++k) {
+        auto column = static_cast<std::size_t>(present_[k]);
+        if (column >= kBatchColumns) payload[k * chunk.count + i] = row[column];
       }
     }
   }
@@ -84,33 +93,10 @@ class Worker final : public campaign::ChunkWorker {
     }
   }
 
-  // reach(origin, I \ base \ P(origin)), with the origin itself never
-  // excluded — the same patch-and-restore the serial HierarchyFreeSweep
-  // uses, generalized to any baseline mask.
-  std::uint32_t CountWithScratch(AsId origin, Bitset& mask) {
-    bool origin_in_mask = mask.Test(origin);
-    if (origin_in_mask) mask.Reset(origin);
-    flipped_.clear();
-    for (const Neighbor& nb : internet_.graph().Providers(origin)) {
-      if (!mask.Test(nb.id)) {
-        mask.Set(nb.id);
-        flipped_.push_back(nb.id);
-      }
-    }
-    std::uint32_t count = static_cast<std::uint32_t>(engine_.Count(origin, &mask));
-    for (AsId id : flipped_) mask.Reset(id);
-    if (origin_in_mask) mask.Set(origin);
-    return count;
-  }
-
   const Internet& internet_;
-  ReachabilityEngine engine_;
-  std::uint32_t columns_;
   std::vector<SweepColumn> present_;
-  Bitset provider_scratch_;   // empty baseline
-  Bitset tier1_scratch_;      // T1 baseline
-  Bitset hierarchy_scratch_;  // T1 | T2 baseline
-  std::vector<AsId> flipped_;
+  bool has_paths_;
+  std::optional<BatchReachEngine> batch_;  // engaged when a reach column is present
 };
 
 }  // namespace
@@ -142,7 +128,15 @@ SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
   plan.words_per_unit = present.size();
   plan.fingerprint = table.fingerprint;
   plan.columns = options.columns;
-  auto make_worker = [&] { return std::make_unique<Worker>(internet, options.columns); };
+  // The kernel's pass order, built once and shared read-only by every worker.
+  std::optional<BatchReachLayout> layout;
+  if (options.columns & kReachColumns) {
+    const TierSets& tiers = internet.tiers();
+    layout.emplace(internet.graph(), tiers.tier1_mask, tiers.HierarchyMask());
+  }
+  auto make_worker = [&] {
+    return std::make_unique<Worker>(internet, layout ? &*layout : nullptr, options.columns);
+  };
   auto apply = [&](const campaign::Chunk& chunk, std::span<const std::uint32_t> payload) {
     for (std::size_t k = 0; k < present.size(); ++k) {
       std::vector<std::uint32_t>& column = table.MutableColumn(present[k]);
@@ -162,8 +156,7 @@ SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
   return table;
 }
 
-std::vector<std::uint32_t> ParallelHierarchyFreeSweep(const Internet& internet,
-                                                      std::size_t threads) {
+std::vector<std::uint32_t> HierarchyFreeSweep(const Internet& internet, std::size_t threads) {
   SweepOptions options;
   options.threads = threads;
   options.columns = ColumnBit(SweepColumn::kHierarchyFree);

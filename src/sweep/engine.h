@@ -3,10 +3,12 @@
 // Computes the paper's per-origin reachability metrics (and optionally
 // the Fig 13 path-length bins) for EVERY AS in a topology. Chunks of
 // origins run through campaign::RunChunks (campaign/runner.h), which owns
-// the worker pool, journal and resume. Each worker owns a ReachabilityEngine
-// plus reusable exclusion-mask scratch — zero per-origin allocation on the
-// default reachability columns. Every origin's values are deterministic, so
-// a killed run resumed with `resume = true` produces a byte-identical store.
+// the worker pool, journal and resume. The reach columns come from the
+// bit-parallel kernel (bgp/batch_reach.h), 64 origins per pass over a
+// layout built once per run and shared by every worker; a chunk of
+// `chunk_size` origins fills ceil(chunk_size / 64) batches. Every origin's
+// values are deterministic, so a killed run resumed with `resume = true`
+// produces a byte-identical store.
 //
 // Instrumented with src/obs/: sweep.chunks_completed / chunks_resumed /
 // checkpoint_writes / origins_computed counters, a sweep.origins_per_sec
@@ -25,7 +27,9 @@
 namespace flatnet::sweep {
 
 struct SweepOptions : campaign::RunOptions {
-  // Origins per chunk — the unit of claiming and of checkpointing.
+  // Origins per chunk — the unit of claiming and of checkpointing. The
+  // kernel evaluates 64 origins per batch, so a chunk below 64 (or not a
+  // multiple of it) leaves lanes idle.
   std::uint32_t chunk_size = 256;
   // Bitmask of SweepColumn values to compute (kReachColumns by default).
   std::uint32_t columns = kReachColumns;
@@ -47,11 +51,12 @@ struct SweepRunStats {
 SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
                     SweepRunStats* stats = nullptr);
 
-// Convenience: the hierarchy-free column only, computed in parallel.
-// Result is element-for-element identical to the serial
-// HierarchyFreeSweep (core/reachability_analysis.h).
-std::vector<std::uint32_t> ParallelHierarchyFreeSweep(const Internet& internet,
-                                                      std::size_t threads = 0);
+// Hierarchy-free reachability for every AS (Fig 3 / Table 1): the
+// hierarchy-free column of RunSweep on `threads` workers (0 = hardware
+// concurrency). Element o equals AnalyzeReachability(internet, o)
+// .hierarchy_free.
+std::vector<std::uint32_t> HierarchyFreeSweep(const Internet& internet,
+                                              std::size_t threads = 0);
 
 // Publishes `table` to `path` (atomic tmp+rename) and, on success,
 // removes the now-redundant journal when `journal_path` is non-empty.

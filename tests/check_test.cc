@@ -129,6 +129,16 @@ TEST(CheckDiff, LockSetupRoundTrip) {
   EXPECT_FALSE(check::ParseLockSetup("sideways").has_value());
 }
 
+// One pinned batch case: 64 or fewer origins under two random baselines,
+// every lane and column bit-equal to the scalar BFS.
+TEST(CheckDiff, BatchKernelMatchesBfsOnPinnedSeed) {
+  GeneratorParams params = GeneratorParams::Era2020(700);
+  params.seed = 20200901;
+  World world = GenerateWorld(params);
+  check::DiffReport report = check::RunBatchReachCase(world.full_graph, 77);
+  EXPECT_TRUE(report.ok) << report.Summary();
+}
+
 TEST(CheckDiff, ReportSummaryReadsWell) {
   check::DiffReport ok;
   EXPECT_EQ(ok.Summary(), "ok");

@@ -8,6 +8,7 @@
 #include "core/reachability_analysis.h"
 #include "core/serialize.h"
 #include "bgp/reachability.h"
+#include "sweep/engine.h"
 #include "topogen/generate.h"
 #include "util/error.h"
 
@@ -61,7 +62,7 @@ TEST_F(CoreTest, Tier1ProviderFreeIsMaximal) {
 }
 
 TEST_F(CoreTest, SweepMatchesSingleOriginAnalysis) {
-  std::vector<std::uint32_t> sweep = HierarchyFreeSweep(internet());
+  std::vector<std::uint32_t> sweep = sweep::HierarchyFreeSweep(internet());
   ASSERT_EQ(sweep.size(), internet().num_ases());
   for (AsId origin : {AsId{0}, world().Cloud("IBM").id, AsId{777}, AsId{1499}}) {
     ReachabilitySummary summary = AnalyzeReachability(internet(), origin);

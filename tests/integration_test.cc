@@ -8,6 +8,7 @@
 #include "measure/validation.h"
 #include "pops/pop_map.h"
 #include "pops/rdns.h"
+#include "sweep/engine.h"
 
 namespace flatnet {
 namespace {
@@ -89,7 +90,7 @@ TEST_F(StudyIntegrationTest, MeasuredReachabilityTracksTruth) {
 TEST_F(StudyIntegrationTest, CloudsBeatMostNetworksHierarchyFree) {
   // The paper's headline on the measured topology: clouds rank above the
   // overwhelming majority of ASes.
-  std::vector<std::uint32_t> sweep = HierarchyFreeSweep(study().internet());
+  std::vector<std::uint32_t> sweep = sweep::HierarchyFreeSweep(study().internet());
   AsId google = study().world().Cloud("Google").id;
   std::size_t above = 0;
   for (AsId id = 0; id < sweep.size(); ++id) {

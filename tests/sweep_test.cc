@@ -2,15 +2,18 @@
 // checkpoint/resume (src/sweep/).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "asgraph/tiers.h"
 #include "bgp/reachability.h"
 #include "core/fingerprint.h"
 #include "core/reachability_analysis.h"
+#include "obs/metrics.h"
 #include "sweep/engine.h"
 #include "sweep/store.h"
 #include "topogen/generate.h"
@@ -69,10 +72,13 @@ TEST_F(SweepTest, FingerprintIsStableAndDistinguishesTopologies) {
 }
 
 TEST_F(SweepTest, ParallelSweepMatchesSerialElementForElement) {
-  std::vector<std::uint32_t> serial = HierarchyFreeSweep(internet());
+  std::vector<std::uint32_t> serial(internet().num_ases());
+  for (AsId origin = 0; origin < serial.size(); ++origin) {
+    ReachabilitySummary summary = AnalyzeReachability(internet(), origin);
+    serial[origin] = static_cast<std::uint32_t>(summary.hierarchy_free);
+  }
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    std::vector<std::uint32_t> parallel =
-        sweep::ParallelHierarchyFreeSweep(internet(), threads);
+    std::vector<std::uint32_t> parallel = sweep::HierarchyFreeSweep(internet(), threads);
     EXPECT_EQ(parallel, serial) << "threads=" << threads;
   }
 }
@@ -97,6 +103,99 @@ TEST_F(SweepTest, SweepColumnsMatchPerOriginAnalysis) {
         << "origin " << origin;
     EXPECT_EQ(table.Column(SweepColumn::kHierarchyFree)[origin], expected.hierarchy_free)
         << "origin " << origin;
+  }
+}
+
+// The kernel counts its batches under its own names and leaves the scalar
+// BFS counters alone; on an acyclic graph every batch is one pass.
+TEST_F(SweepTest, BatchCountersTallyTheSweep) {
+  obs::Counter& computes = obs::GetCounter("reachability.computes");
+  obs::Counter& passes = obs::GetCounter("reachability.batch.passes");
+  obs::Counter& lanes = obs::GetCounter("reachability.batch.lanes");
+  obs::Counter& nodes_reached = obs::GetCounter("reachability.batch.nodes_reached");
+  std::uint64_t computes_before = computes.value();
+  std::uint64_t passes_before = passes.value();
+  std::uint64_t lanes_before = lanes.value();
+  std::uint64_t reached_before = nodes_reached.value();
+
+  SweepOptions options;
+  options.threads = 2;
+  options.chunk_size = 100;  // a full and a part-filled batch per chunk
+  SweepTable table = RunSweep(internet(), options);
+  std::uint64_t reached = 0;
+  for (std::uint32_t c = 0; c < 3; ++c) {
+    for (std::uint32_t v : table.Column(static_cast<SweepColumn>(c))) reached += v;
+  }
+  std::size_t n = internet().num_ases();
+  std::uint64_t batches = 0;
+  for (std::size_t begin = 0; begin < n; begin += 100) {
+    batches += (std::min<std::size_t>(100, n - begin) + 63) / 64;
+  }
+  EXPECT_EQ(computes.value(), computes_before);
+  EXPECT_EQ(lanes.value() - lanes_before, n);
+  EXPECT_EQ(passes.value() - passes_before, batches);
+  EXPECT_EQ(nodes_reached.value() - reached_before, reached);
+}
+
+// CAIDA input is untrusted and may hold a p2c cycle, which has no Kahn
+// order. The kernel must still reach exactly what the BFS reaches, for
+// origins on the cycle, below it, beside it and above it.
+TEST(SweepCycleTest, ColumnsMatchPerOriginAnalysisOnCyclicInput) {
+  AsGraphBuilder builder;
+  builder.AddEdge(1, 2, EdgeType::kP2P);  // the Tier-1 clique
+  builder.AddEdge(1, 10, EdgeType::kP2C);
+  builder.AddEdge(2, 11, EdgeType::kP2C);
+  // The cycle 100 -> 101 -> 102 -> 100, hanging off the hierarchy.
+  builder.AddEdge(100, 101, EdgeType::kP2C);
+  builder.AddEdge(101, 102, EdgeType::kP2C);
+  builder.AddEdge(102, 100, EdgeType::kP2C);
+  builder.AddEdge(1, 100, EdgeType::kP2C);
+  builder.AddEdge(10, 101, EdgeType::kP2C);
+  // A subtree below the cycle, one node with a provider on each side.
+  builder.AddEdge(102, 200, EdgeType::kP2C);
+  builder.AddEdge(200, 201, EdgeType::kP2C);
+  builder.AddEdge(200, 202, EdgeType::kP2C);
+  builder.AddEdge(101, 203, EdgeType::kP2C);
+  builder.AddEdge(11, 204, EdgeType::kP2C);
+  builder.AddEdge(102, 204, EdgeType::kP2C);
+  // Peers into, out of and below the cycle.
+  builder.AddEdge(100, 300, EdgeType::kP2P);
+  builder.AddEdge(300, 301, EdgeType::kP2C);
+  builder.AddEdge(201, 2, EdgeType::kP2P);
+  builder.AddEdge(203, 11, EdgeType::kP2P);
+  builder.AddEdge(202, 301, EdgeType::kP2P);
+  // A second, longer cycle peering with a Tier-1.
+  builder.AddEdge(500, 501, EdgeType::kP2C);
+  builder.AddEdge(501, 502, EdgeType::kP2C);
+  builder.AddEdge(502, 503, EdgeType::kP2C);
+  builder.AddEdge(503, 500, EdgeType::kP2C);
+  builder.AddEdge(503, 1, EdgeType::kP2P);
+  builder.AddEdge(502, 504, EdgeType::kP2C);
+  AsGraph graph = std::move(builder).Build();
+  // A cycle member in the Tier-2 baseline exercises the masks off the
+  // ordered prefix.
+  TierSets tiers = MakeTierSets(graph, {1, 2}, {10, 11, 101});
+  AsMetadata metadata(graph.num_ases());
+  Internet internet(std::move(graph), std::move(tiers), std::move(metadata));
+
+  obs::Counter& passes = obs::GetCounter("reachability.batch.passes");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
+    SweepOptions options;
+    options.threads = threads;
+    options.chunk_size = 5;
+    std::uint64_t passes_before = passes.value();
+    SweepTable table = RunSweep(internet, options);
+    // One batch per chunk, each repeating its pass over the cyclic tail.
+    EXPECT_GT(passes.value() - passes_before, (internet.num_ases() + 4) / 5);
+    for (AsId origin = 0; origin < internet.num_ases(); ++origin) {
+      ReachabilitySummary expected = AnalyzeReachability(internet, origin);
+      EXPECT_EQ(table.Column(SweepColumn::kProviderFree)[origin], expected.provider_free)
+          << "AS" << internet.graph().AsnOf(origin);
+      EXPECT_EQ(table.Column(SweepColumn::kTier1Free)[origin], expected.tier1_free)
+          << "AS" << internet.graph().AsnOf(origin);
+      EXPECT_EQ(table.Column(SweepColumn::kHierarchyFree)[origin], expected.hierarchy_free)
+          << "AS" << internet.graph().AsnOf(origin);
+    }
   }
 }
 
@@ -148,6 +247,23 @@ TEST_F(SweepTest, StoreRoundTripsAndValidates) {
 
   EXPECT_THROW(store.ValidateAgainst(other_internet()), Error);
   std::filesystem::remove(path);
+}
+
+TEST_F(SweepTest, StoreBytesArePinned) {
+  SweepOptions options;
+  options.threads = 2;
+  std::string path = TempPath("flatnet_sweep_pinned.sweep");
+  sweep::WriteSweepStore(path, RunSweep(internet(), options));
+  std::string bytes = ReadFileBytes(path);
+  std::filesystem::remove(path);
+
+  std::uint64_t digest = 0xcbf29ce484222325ull;  // FNV-1a 64
+  for (char byte : bytes) {
+    digest ^= static_cast<unsigned char>(byte);
+    digest *= 0x100000001b3ull;
+  }
+  EXPECT_EQ(digest, 0x853d34fa910f6db5ull) << std::hex << "actual digest 0x" << digest << ", "
+                                           << bytes.size() << " bytes";
 }
 
 TEST_F(SweepTest, LoadRejectsCorruptionNamingTheFile) {

@@ -4,7 +4,9 @@
 // (seeded, fully reproducible) and cross-checks the three propagation
 // implementations — RouteComputation, ReachabilityEngine, EventBgpEngine —
 // plus the structural invariants from src/check, over randomized origin /
-// excluded-set / peer-lock / failed-link configurations. Any divergence is logged as a
+// excluded-set / peer-lock / failed-link configurations. Each topology
+// also runs one batch case, holding the sweep's bit-parallel kernel to the
+// BFS with the topology seed as its case seed. Any divergence is logged as a
 // minimized reproducer (generator seed + case parameters + first
 // mismatching AS) and the process exits nonzero. CI runs a bounded budget
 // of cases under ASan/UBSan; the full default sweep is the standing
@@ -16,6 +18,7 @@
 //                     [--log-level L] [--metrics-out <file>]
 //   flatnet_diffcheck
 //       --repro <era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>
+//   flatnet_diffcheck --repro <era>:<topo-seed>:<ases>:<case-seed>:batch
 //   flatnet_diffcheck --graph-identity <file.graph>
 //
 // The --repro string is printed verbatim when a case fails; feeding it back
@@ -35,6 +38,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "topogen/generate.h"
+#include "util/error.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -64,6 +68,7 @@ int Usage() {
       "                         [--metrics-out <file>]\n"
       "       flatnet_diffcheck --repro "
       "<era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>\n"
+      "       flatnet_diffcheck --repro <era>:<topo-seed>:<ases>:<case-seed>:batch\n"
       "       flatnet_diffcheck --graph-identity <file.graph>\n");
   return 2;
 }
@@ -83,7 +88,13 @@ bool ColumnsEqual(const char* name, std::span<const T> mapped, std::span<const T
 }
 
 int RunGraphIdentity(const std::string& path) {
-  Internet internet = LoadInternetBinary(path);
+  Internet internet;
+  try {
+    internet = LoadInternetBinary(path);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "flatnet_diffcheck: %s\n", e.what());
+    return 1;
+  }
   const AsGraph& mapped = internet.graph();
   AsGraphBuilder builder;
   for (AsId id = 0; id < mapped.num_ases(); ++id) builder.AddAs(mapped.AsnOf(id));
@@ -147,9 +158,29 @@ bool RunCase(const World& world, const TopologyKey& topo, const check::DiffCaseC
   return false;
 }
 
+// Runs one batch-kernel case and handles reporting, like RunCase.
+bool RunBatchCase(const World& world, const TopologyKey& topo, std::uint64_t case_seed) {
+  Counters().cases.Increment();
+  check::DiffReport report = check::RunBatchReachCase(world.full_graph, case_seed);
+  if (report.ok) return true;
+  Counters().mismatches.Increment();
+  std::string repro = StrFormat("%s:%llu:%u:%llu:batch", topo.era2020 ? "2020" : "2015",
+                                static_cast<unsigned long long>(topo.topo_seed), topo.ases,
+                                static_cast<unsigned long long>(case_seed));
+  obs::Log(obs::LogLevel::kError, "diffcheck", "oracle.mismatch")
+      .Kv("repro", repro)
+      .Kv("oracle", report.oracle)
+      .Kv("first_asn", report.first_mismatch_asn)
+      .Kv("detail", report.detail);
+  std::printf("MISMATCH %s\n  replay: flatnet_diffcheck --repro %s\n", report.Summary().c_str(),
+              repro.c_str());
+  return false;
+}
+
 int RunRepro(const std::string& repro) {
   auto fields = Split(repro, ':');
-  if (fields.size() != 8) return Usage();
+  bool batch = fields.size() == 5 && fields[4] == "batch";
+  if (fields.size() != 8 && !batch) return Usage();
   TopologyKey topo;
   if (fields[0] == "2020") {
     topo.era2020 = true;
@@ -161,26 +192,27 @@ int RunRepro(const std::string& repro) {
   auto topo_seed = ParseU64(fields[1]);
   auto ases = ParseU64(fields[2]);
   auto case_seed = ParseU64(fields[3]);
-  auto excluded = ParseU64(fields[4]);
-  auto lock = check::ParseLockSetup(fields[5]);
-  auto locked = ParseU64(fields[6]);
-  auto senders = ParseU64(fields[7]);
-  if (!topo_seed || !ases || !case_seed || !excluded || !lock || !locked || !senders) {
-    return Usage();
-  }
+  if (!topo_seed || !ases || !case_seed) return Usage();
   topo.topo_seed = *topo_seed;
   topo.ases = static_cast<std::uint32_t>(*ases);
   check::DiffCaseConfig config;
   config.case_seed = *case_seed;
-  config.excluded_count = *excluded;
-  config.lock = *lock;
-  config.locked_count = *locked;
-  config.filtered_sender_count = *senders;
+  if (!batch) {
+    auto excluded = ParseU64(fields[4]);
+    auto lock = check::ParseLockSetup(fields[5]);
+    auto locked = ParseU64(fields[6]);
+    auto senders = ParseU64(fields[7]);
+    if (!excluded || !lock || !locked || !senders) return Usage();
+    config.excluded_count = *excluded;
+    config.lock = *lock;
+    config.locked_count = *locked;
+    config.filtered_sender_count = *senders;
+  }
 
   World world = BuildWorld(topo);
   std::printf("replaying %s: %zu ASes, %zu edges\n", repro.c_str(), world.num_ases(),
               world.full_graph.num_edges());
-  bool ok = RunCase(world, topo, config);
+  bool ok = batch ? RunBatchCase(world, topo, config.case_seed) : RunCase(world, topo, config);
   std::printf("%s\n", ok ? "OK: engines agree" : "MISMATCH (see above)");
   return ok ? 0 : 1;
 }
@@ -273,6 +305,7 @@ int main(int argc, char** argv) {
         .Kv("ases", static_cast<std::uint64_t>(n))
         .Kv("edges", static_cast<std::uint64_t>(world.full_graph.num_edges()))
         .Kv("gen_s", sw.ElapsedSeconds());
+    if (!RunBatchCase(world, topo, topo.topo_seed)) ++failures;
 
     for (std::uint64_t k = 0; k < per_topology && done < cases; ++k, ++done) {
       check::DiffCaseConfig config;

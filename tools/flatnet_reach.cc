@@ -24,6 +24,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "sweep/engine.h"
+#include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -95,15 +96,20 @@ int main(int argc, char** argv) {
   };
 
   Internet internet;
-  if (!stem.empty()) {
-    internet = LoadInternetAuto(stem);
-  } else {
-    AsGraph graph = LoadCaidaFile(rel_file);
-    TierSets tiers = InferTierSets(graph);
-    AsMetadata metadata(graph.num_ases());
-    std::fprintf(stderr, "inferred %zu Tier-1s and %zu Tier-2s from graph structure\n",
-                 tiers.tier1.size(), tiers.tier2.size());
-    internet = Internet(std::move(graph), std::move(tiers), std::move(metadata));
+  try {
+    if (!stem.empty()) {
+      internet = LoadInternetAuto(stem);
+    } else {
+      AsGraph graph = LoadCaidaFile(rel_file);
+      TierSets tiers = InferTierSets(graph);
+      AsMetadata metadata(graph.num_ases());
+      std::fprintf(stderr, "inferred %zu Tier-1s and %zu Tier-2s from graph structure\n",
+                   tiers.tier1.size(), tiers.tier2.size());
+      internet = Internet(std::move(graph), std::move(tiers), std::move(metadata));
+    }
+  } catch (const Error& e) {
+    std::fprintf(stderr, "flatnet_reach: %s\n", e.what());
+    return finish(1);
   }
   std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
                internet.graph().num_edges());
@@ -128,11 +134,10 @@ int main(int argc, char** argv) {
     return finish(0);
   }
 
-  // The sharded engine returns element-identical results to the serial
-  // HierarchyFreeSweep at any thread count, so the table below is
-  // byte-identical to the pre-sweep-engine output.
+  // The sweep's values are identical at any thread count, so the table
+  // below is too.
   std::vector<std::uint32_t> sweep =
-      sweep::ParallelHierarchyFreeSweep(internet, static_cast<std::size_t>(threads));
+      sweep::HierarchyFreeSweep(internet, static_cast<std::size_t>(threads));
   std::vector<AsId> order(internet.num_ases());
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),

@@ -243,7 +243,13 @@ int main(int argc, char** argv) {
   } else {
     obs::InstallCrashHandlerFromEnv();
   }
-  Internet internet = LoadOrGenerate(stem, era, ases, seed);
+  Internet internet;
+  try {
+    internet = LoadOrGenerate(stem, era, ases, seed);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "flatnet_serve: %s\n", e.what());
+    return 1;
+  }
   std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
                internet.graph().num_edges());
 
