@@ -49,12 +49,9 @@ int main() {
   for (auto [era, internet] : {std::pair<const char*, const Internet*>{"2015",
                                                                        &bench::Internet2015()},
                                {"2020", &bench::Internet2020()}}) {
-    std::vector<double> users(internet->num_ases());
-    std::vector<double> eyeball(internet->num_ases());
-    for (AsId id = 0; id < internet->num_ases(); ++id) {
-      users[id] = internet->metadata().Get(id).users;
-      eyeball[id] = users[id] > 0 ? 1.0 : 0.0;
-    }
+    std::vector<double> users = internet->metadata().UserArray();
+    std::vector<double> eyeball(users.size());
+    for (AsId id = 0; id < users.size(); ++id) eyeball[id] = users[id] > 0 ? 1.0 : 0.0;
     for (const char* cloud : {"Google", "Microsoft", "Amazon", "IBM"}) {
       AsId id = bench::IdByName(*internet, cloud);
       Shares all = ToShares(PathLengths(*internet, id));

@@ -33,10 +33,7 @@ int main() {
                      "Fig 9 (erratum) / §8.3");
   const Internet& internet = bench::Internet2020();
   // User populations ride on the analysis topology's metadata.
-  std::vector<double> users(internet.num_ases());
-  for (AsId id = 0; id < internet.num_ases(); ++id) {
-    users[id] = internet.metadata().Get(id).users;
-  }
+  std::vector<double> users = internet.metadata().UserArray();
 
   AsId google = bench::IdByName(internet, "Google");
   std::size_t trials = ScaledTrials(5000, 60);

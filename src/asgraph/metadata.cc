@@ -19,6 +19,13 @@ double AsMetadata::TotalUsers() const {
   return total;
 }
 
+std::vector<double> AsMetadata::UserArray() const {
+  std::vector<double> users;
+  users.reserve(info_.size());
+  for (const AsInfo& info : info_) users.push_back(info.users);
+  return users;
+}
+
 std::vector<std::size_t> AsMetadata::TypeCounts() const {
   std::vector<std::size_t> counts(5, 0);
   for (const AsInfo& info : info_) ++counts[static_cast<std::size_t>(info.type)];

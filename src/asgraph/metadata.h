@@ -47,6 +47,10 @@ class AsMetadata {
   // Sum of users across all ASes.
   double TotalUsers() const;
 
+  // Per-AS user population as a flat array indexed by AsId (for leak and
+  // failure weighting).
+  std::vector<double> UserArray() const;
+
   // Count of ASes per type.
   std::vector<std::size_t> TypeCounts() const;
 

@@ -12,8 +12,6 @@ void MixBitset(Fnv1a64& h, const Bitset& mask) {
 
 }  // namespace
 
-std::uint64_t TopologyFingerprint(const Internet& internet) { return internet.fingerprint(); }
-
 std::uint64_t HashTopology(const AsGraph& graph, const TierSets& tiers) {
   Fnv1a64 h;
   h.Mix(graph.num_ases());

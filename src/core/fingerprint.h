@@ -9,9 +9,9 @@
 // machines, so a persisted store — sweep/leak/fail results or a binary
 // `.graph` topology — can be validated before it is served.
 //
-// The hash is computed once per Internet, when it is constructed
-// (Internet::fingerprint()); TopologyFingerprint returns that stored
-// value, so campaigns and store attaches never re-walk the adjacency.
+// The hash is computed once per Internet, when it is constructed, and
+// Internet::fingerprint() returns the stored value, so campaigns and store
+// attaches never re-walk the adjacency.
 #ifndef FLATNET_CORE_FINGERPRINT_H_
 #define FLATNET_CORE_FINGERPRINT_H_
 
@@ -19,7 +19,6 @@
 
 #include "asgraph/as_graph.h"
 #include "asgraph/tiers.h"
-#include "core/internet.h"
 
 namespace flatnet {
 
@@ -40,9 +39,6 @@ class Fnv1a64 {
  private:
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
-
-// The stored fingerprint of `internet`; O(1).
-std::uint64_t TopologyFingerprint(const Internet& internet);
 
 // The from-scratch hash, O(n + E): what Internet's constructor stores.
 std::uint64_t HashTopology(const AsGraph& graph, const TierSets& tiers);

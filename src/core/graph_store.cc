@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "core/fingerprint.h"
 #include "core/serialize.h"
 #include "util/colstore.h"
 #include "util/error.h"
@@ -66,7 +65,7 @@ std::string Serialize(const Internet& internet) {
   AppendScalar(out, std::uint32_t{0});  // flags, reserved
   AppendScalar(out, static_cast<std::uint64_t>(n));
   AppendScalar(out, static_cast<std::uint64_t>(graph.num_edges()));
-  AppendScalar(out, TopologyFingerprint(internet));
+  AppendScalar(out, internet.fingerprint());
   AppendScalar(out, static_cast<std::uint32_t>(kNumSections));
   AppendScalar(out, std::uint32_t{0});  // reserved
 

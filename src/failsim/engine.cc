@@ -321,7 +321,7 @@ std::uint64_t CampaignFingerprint(const Internet& internet,
                                   const std::vector<FailCellSpec>& cells, bool has_users,
                                   double hegemony_trim) {
   Fnv1a64 hash;
-  hash.Mix(TopologyFingerprint(internet));
+  hash.Mix(internet.fingerprint());
   hash.Mix(has_users ? 1 : 0);
   hash.Mix(std::bit_cast<std::uint64_t>(hegemony_trim));
   hash.Mix(cells.size());
@@ -349,7 +349,7 @@ FailTable RunFailureCampaign(const Internet& internet, const std::vector<FailCel
   Stopwatch stopwatch;
 
   FailTable table;
-  table.fingerprint = TopologyFingerprint(internet);
+  table.fingerprint = internet.fingerprint();
   table.has_users = options.users != nullptr;
   table.campaign_fingerprint =
       CampaignFingerprint(internet, cells, table.has_users, options.hegemony_trim);

@@ -1,6 +1,5 @@
 #include "failsim/store.h"
 
-#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -148,7 +147,7 @@ FailStore FailStore::Load(const std::string& path) {
 }
 
 void FailStore::ValidateAgainst(const Internet& internet) const {
-  std::uint64_t expected = TopologyFingerprint(internet);
+  std::uint64_t expected = internet.fingerprint();
   if (table_.fingerprint != expected) {
     throw Error(StrFormat("fail store fingerprint %016llx does not match topology %016llx "
                           "(results were computed on a different graph)",

@@ -97,7 +97,7 @@ class TrialWorker final : public campaign::ChunkWorker {
 std::uint64_t CampaignFingerprint(const Internet& internet,
                                   const std::vector<LeakCellSpec>& cells, bool has_users) {
   Fnv1a64 hash;
-  hash.Mix(TopologyFingerprint(internet));
+  hash.Mix(internet.fingerprint());
   hash.Mix(has_users ? 1 : 0);
   hash.Mix(cells.size());
   for (const LeakCellSpec& spec : cells) {
@@ -122,7 +122,7 @@ LeakTable RunLeakCampaign(const Internet& internet, const std::vector<LeakCellSp
   Stopwatch stopwatch;
 
   LeakTable table;
-  table.fingerprint = TopologyFingerprint(internet);
+  table.fingerprint = internet.fingerprint();
   table.has_users = options.users != nullptr;
   PreparedCampaign prep = Prepare(internet, cells, options.users, table);
 

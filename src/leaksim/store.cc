@@ -1,6 +1,5 @@
 #include "leaksim/store.h"
 
-#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -137,7 +136,7 @@ LeakStore LeakStore::Load(const std::string& path) {
 }
 
 void LeakStore::ValidateAgainst(const Internet& internet) const {
-  std::uint64_t expected = TopologyFingerprint(internet);
+  std::uint64_t expected = internet.fingerprint();
   if (table_.fingerprint != expected) {
     throw Error(StrFormat("leak store fingerprint %016llx does not match topology %016llx "
                           "(results were computed on a different graph)",

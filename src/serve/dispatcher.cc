@@ -133,6 +133,7 @@ Dispatcher::Dispatcher(const Internet& internet, const DispatcherOptions& option
       options_(options),
       cache_(options.cache_bytes),
       pool_(options.threads),
+      users_(internet.metadata().UserArray()),
       start_time_(std::chrono::steady_clock::now()) {
   if (options.shard_count > 1) {
     if (options.shard_index >= options.shard_count) {
@@ -148,10 +149,6 @@ Dispatcher::Dispatcher(const Internet& internet, const DispatcherOptions& option
   if (slow_query_ms_ > 0) {
     obs::Log(obs::LogLevel::kInfo, "serve", "slow_query_log.armed")
         .Kv("threshold_ms", slow_query_ms_);
-  }
-  users_.reserve(internet.num_ases());
-  for (AsId id = 0; id < internet.num_ases(); ++id) {
-    users_.push_back(internet.metadata().Get(id).users);
   }
 }
 

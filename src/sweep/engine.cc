@@ -11,7 +11,6 @@
 #include "bgp/propagation.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
-#include "core/fingerprint.h"
 #include "obs/trace.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
@@ -113,7 +112,7 @@ SweepTable RunSweep(const Internet& internet, const SweepOptions& options,
   std::vector<SweepColumn> present = PresentColumns(options.columns);
 
   SweepTable table;
-  table.fingerprint = TopologyFingerprint(internet);
+  table.fingerprint = internet.fingerprint();
   table.columns = options.columns;
   table.num_origins = n;
   for (SweepColumn c : present) table.MutableColumn(c).assign(n, 0);

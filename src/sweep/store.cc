@@ -1,6 +1,5 @@
 #include "sweep/store.h"
 
-#include "core/fingerprint.h"
 #include "util/colstore.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -110,7 +109,7 @@ void SweepStore::ValidateAgainst(const Internet& internet) const {
     throw Error(StrFormat("sweep store holds %zu origins but the topology has %zu ASes",
                           table_.num_origins, internet.num_ases()));
   }
-  std::uint64_t expected = TopologyFingerprint(internet);
+  std::uint64_t expected = internet.fingerprint();
   if (table_.fingerprint != expected) {
     throw Error(StrFormat("sweep store fingerprint %016llx does not match topology %016llx "
                           "(results were computed on a different graph)",

@@ -19,10 +19,4 @@ std::vector<AsId> World::StudyCloudIds() const {
   return ids;
 }
 
-std::vector<double> World::UserArray() const {
-  std::vector<double> users(num_ases(), 0.0);
-  for (AsId id = 0; id < users.size(); ++id) users[id] = metadata.Get(id).users;
-  return users;
-}
-
 }  // namespace flatnet

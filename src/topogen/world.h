@@ -61,9 +61,6 @@ struct World {
 
   // Ids of the four study clouds (excludes non-study archetypes).
   std::vector<AsId> StudyCloudIds() const;
-
-  // Per-AS user population as a flat array (for leak weighting).
-  std::vector<double> UserArray() const;
 };
 
 }  // namespace flatnet

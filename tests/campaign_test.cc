@@ -1,7 +1,8 @@
 // Tests for the shared campaign runner (src/campaign/): the checkpoint
 // journal and its frozen format, the runner's resume-time record checks,
-// the exact max_chunks budget, worker-error capture, and the flag parser
-// the campaign CLIs share.
+// the exact max_chunks budget and worker-error capture. The runner flags
+// the campaign CLIs share are tested with the rest of the CLI in
+// cli_test.cc.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "campaign/cli.h"
 #include "campaign/journal.h"
 #include "campaign/runner.h"
 #include "failsim/engine.h"
@@ -30,7 +30,6 @@ namespace {
 
 using campaign::Chunk;
 using campaign::ChunkPlan;
-using campaign::FlagStatus;
 using campaign::Journal;
 using campaign::JournalMeta;
 using campaign::RunChunks;
@@ -178,8 +177,7 @@ TEST_F(CampaignTest, JournalBytesArePinned) {
   sweep::RunSweep(internet(), sweep_options);
   EXPECT_EQ(digest_and_remove(), 0x5ef9486c4392a1f4ull);
 
-  std::vector<double> users(internet().num_ases());
-  for (AsId id = 0; id < users.size(); ++id) users[id] = internet().metadata().Get(id).users;
+  std::vector<double> users = internet().metadata().UserArray();
 
   std::vector<leaksim::LeakCellSpec> leak_cells(2);
   leak_cells[0].victim = world().tiers.tier1[0];
@@ -319,57 +317,6 @@ TEST_F(CampaignTest, WorkerErrorIsRethrownAfterThePoolDrains) {
   } catch (const Error& e) {
     EXPECT_EQ(std::string(e.what()), "TestRun: chunk 3 exploded");
   }
-}
-
-// Parses `args` (argv[0] excluded) with ParseRunFlag from index 1;
-// `*consumed` is how far the parser advanced.
-FlagStatus Parse(std::vector<std::string> args, RunOptions* options,
-                 std::uint32_t* chunk_size, int* consumed = nullptr) {
-  args.insert(args.begin(), "tool");
-  std::vector<char*> argv;
-  for (std::string& arg : args) argv.push_back(arg.data());
-  int i = 1;
-  FlagStatus status = campaign::ParseRunFlag(static_cast<int>(argv.size()), argv.data(), &i,
-                                             options, chunk_size);
-  if (consumed != nullptr) *consumed = i;
-  return status;
-}
-
-TEST(CampaignFlags, ParsesTheSharedRunFlags) {
-  RunOptions options;
-  std::uint32_t chunk = 7;
-  int consumed = 0;
-  EXPECT_EQ(Parse({"--threads", "3"}, &options, &chunk, &consumed), FlagStatus::kParsed);
-  EXPECT_EQ(options.threads, 3u);
-  EXPECT_EQ(consumed, 2);
-  EXPECT_EQ(Parse({"--chunk", "9"}, &options, &chunk), FlagStatus::kParsed);
-  EXPECT_EQ(chunk, 9u);
-  EXPECT_EQ(Parse({"--resume"}, &options, &chunk, &consumed), FlagStatus::kParsed);
-  EXPECT_TRUE(options.resume);
-  EXPECT_EQ(consumed, 1);
-  EXPECT_EQ(Parse({"--throttle-chunk-ms", "50"}, &options, &chunk), FlagStatus::kParsed);
-  EXPECT_EQ(options.throttle_chunk_ms, 50u);
-  EXPECT_EQ(Parse({"--max-chunks", "4294967295"}, &options, &chunk), FlagStatus::kParsed);
-  EXPECT_EQ(options.max_chunks, 4294967295u);
-
-  EXPECT_EQ(Parse({"--out", "x"}, &options, &chunk, &consumed), FlagStatus::kNotRunFlag);
-  EXPECT_EQ(consumed, 1);
-}
-
-TEST(CampaignFlags, RejectsValuesThatDoNotFit) {
-  RunOptions options;
-  std::uint32_t chunk = 7;
-  // 2^32 + 1 used to narrow silently to a 1-origin chunk.
-  EXPECT_EQ(Parse({"--chunk", "4294967297"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(chunk, 7u);
-  EXPECT_EQ(Parse({"--chunk", "0"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(Parse({"--max-chunks", "4294967296"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(Parse({"--throttle-chunk-ms", "-1"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(Parse({"--threads", "18446744073709551616"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(Parse({"--threads"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(Parse({"--threads", "2x"}, &options, &chunk), FlagStatus::kBad);
-  EXPECT_EQ(options.max_chunks, 0u);
-  EXPECT_EQ(options.threads, 0u);
 }
 
 }  // namespace

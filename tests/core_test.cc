@@ -108,7 +108,7 @@ TEST_F(CoreTest, LeakScenarioSeriesFillTrials) {
   }
   EXPECT_TRUE(series.fraction_users_detoured.empty());  // no users passed
 
-  std::vector<double> users = world().UserArray();
+  std::vector<double> users = world().metadata.UserArray();
   LeakTrialSeries weighted =
       RunLeakScenario(internet(), google, LeakScenario::kAnnounceAll, 10, 7, &users);
   EXPECT_EQ(weighted.fraction_users_detoured.size(), 10u);

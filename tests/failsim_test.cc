@@ -16,7 +16,6 @@
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
 #include "bgp/reachability.h"
-#include "core/fingerprint.h"
 #include "failsim/engine.h"
 #include "failsim/store.h"
 #include "topogen/generate.h"
@@ -70,13 +69,7 @@ class FailsimTest : public ::testing::Test {
     return net;
   }
 
-  static std::vector<double> Users() {
-    std::vector<double> users(internet().num_ases());
-    for (AsId id = 0; id < internet().num_ases(); ++id) {
-      users[id] = internet().metadata().Get(id).users;
-    }
-    return users;
-  }
+  static std::vector<double> Users() { return internet().metadata().UserArray(); }
 
   // link_set cells at every severity from 1 to 4 over two origins.
   static std::vector<FailCellSpec> LinkCells(std::uint32_t trials) {
@@ -355,7 +348,7 @@ TEST_F(FailsimTest, StoreRoundTripsAndValidates) {
 
   FailStore store = FailStore::Load(path);
   EXPECT_NO_THROW(store.ValidateAgainst(internet()));
-  EXPECT_EQ(store.fingerprint(), TopologyFingerprint(internet()));
+  EXPECT_EQ(store.fingerprint(), internet().fingerprint());
   EXPECT_EQ(store.campaign_fingerprint(), table.campaign_fingerprint);
   EXPECT_FALSE(store.has_users());
   ASSERT_EQ(store.num_cells(), cells.size());

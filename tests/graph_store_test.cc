@@ -7,7 +7,6 @@
 #include <fstream>
 #include <string>
 
-#include "core/fingerprint.h"
 #include "core/graph_store.h"
 #include "core/internet.h"
 #include "core/serialize.h"
@@ -54,7 +53,7 @@ TEST_F(GraphStoreTest, RoundTripPreservesEverything) {
 
   ASSERT_EQ(loaded.num_ases(), internet().num_ases());
   EXPECT_EQ(loaded.graph().num_edges(), internet().graph().num_edges());
-  EXPECT_EQ(TopologyFingerprint(loaded), TopologyFingerprint(internet()));
+  EXPECT_EQ(loaded.fingerprint(), internet().fingerprint());
   EXPECT_EQ(loaded.tiers().tier1, internet().tiers().tier1);
   EXPECT_EQ(loaded.tiers().tier2, internet().tiers().tier2);
   for (AsId id = 0; id < loaded.num_ases(); ++id) {
@@ -100,19 +99,19 @@ TEST_F(GraphStoreTest, TextAndBinaryFormatsAgreeOnFingerprint) {
   std::string binary = TempPath("flatnet_graph_text.graph");
   SaveInternet(internet(), stem);
   Internet from_text = LoadInternet(stem);
-  std::uint64_t text_fp = TopologyFingerprint(from_text);
+  std::uint64_t text_fp = from_text.fingerprint();
 
   // Serialize the text-loaded topology to binary: the stored header
   // fingerprint and the mmap-loaded fingerprint must both equal it.
   SaveInternetBinary(from_text, binary);
   EXPECT_EQ(ReadGraphStoreFingerprint(binary), text_fp);
-  EXPECT_EQ(TopologyFingerprint(LoadInternetBinary(binary)), text_fp);
+  EXPECT_EQ(LoadInternetBinary(binary).fingerprint(), text_fp);
 
   // The binary round trip of the original graph preserves its id space —
   // and with it the original fingerprint.
   std::string direct = TempPath("flatnet_graph_direct.graph");
   SaveInternetBinary(internet(), direct);
-  EXPECT_EQ(ReadGraphStoreFingerprint(direct), TopologyFingerprint(internet()));
+  EXPECT_EQ(ReadGraphStoreFingerprint(direct), internet().fingerprint());
 
   // LoadInternetAuto dispatches on the extension.
   EXPECT_EQ(LoadInternetAuto(binary).num_ases(), internet().num_ases());

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "asgraph/as_graph.h"
-#include "core/fingerprint.h"
 #include "core/leak_scenarios.h"
 #include "leaksim/engine.h"
 #include "leaksim/store.h"
@@ -101,10 +100,7 @@ TEST_F(LeaksimTest, CampaignMatchesSerialScenarioTrialForTrial) {
 }
 
 TEST_F(LeaksimTest, UserWeightedCampaignMatchesSerial) {
-  std::vector<double> users(internet().num_ases());
-  for (AsId id = 0; id < internet().num_ases(); ++id) {
-    users[id] = internet().metadata().Get(id).users;
-  }
+  std::vector<double> users = internet().metadata().UserArray();
   LeakCellSpec spec;
   spec.victim = world().tiers.tier2[0];
   spec.seed = 9;
@@ -150,7 +146,7 @@ TEST_F(LeaksimTest, StoreRoundTripsAndValidates) {
 
   LeakStore store = LeakStore::Load(path);
   EXPECT_NO_THROW(store.ValidateAgainst(internet()));
-  EXPECT_EQ(store.fingerprint(), TopologyFingerprint(internet()));
+  EXPECT_EQ(store.fingerprint(), internet().fingerprint());
   EXPECT_FALSE(store.has_users());
   ASSERT_EQ(store.num_cells(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {

@@ -11,7 +11,6 @@
 
 #include "asgraph/tiers.h"
 #include "bgp/reachability.h"
-#include "core/fingerprint.h"
 #include "core/reachability_analysis.h"
 #include "obs/metrics.h"
 #include "sweep/engine.h"
@@ -67,8 +66,8 @@ class SweepTest : public ::testing::Test {
 };
 
 TEST_F(SweepTest, FingerprintIsStableAndDistinguishesTopologies) {
-  EXPECT_EQ(TopologyFingerprint(internet()), TopologyFingerprint(internet()));
-  EXPECT_NE(TopologyFingerprint(internet()), TopologyFingerprint(other_internet()));
+  EXPECT_EQ(internet().fingerprint(), internet().fingerprint());
+  EXPECT_NE(internet().fingerprint(), other_internet().fingerprint());
 }
 
 TEST_F(SweepTest, ParallelSweepMatchesSerialElementForElement) {
@@ -235,7 +234,7 @@ TEST_F(SweepTest, StoreRoundTripsAndValidates) {
   SweepStore store = SweepStore::Load(path);
   EXPECT_NO_THROW(store.ValidateAgainst(internet()));
   EXPECT_EQ(store.num_origins(), internet().num_ases());
-  EXPECT_EQ(store.fingerprint(), TopologyFingerprint(internet()));
+  EXPECT_EQ(store.fingerprint(), internet().fingerprint());
   EXPECT_TRUE(store.HasColumn(SweepColumn::kHierarchyFree));
   EXPECT_FALSE(store.HasColumn(SweepColumn::kPathOneHop));
   for (AsId origin = 0; origin < internet().num_ases(); origin += 41) {

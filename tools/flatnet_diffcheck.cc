@@ -34,11 +34,11 @@
 #include <vector>
 
 #include "check/diff.h"
+#include "cli/cli.h"
 #include "core/graph_store.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "topogen/generate.h"
-#include "util/error.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -59,19 +59,15 @@ DiffcheckCounters& Counters() {
   return counters;
 }
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: flatnet_diffcheck [--cases N] [--seed S] [--min-ases A] [--max-ases B]\n"
-      "                         [--per-topology K] [--era 2020|2015|both]\n"
-      "                         [--log-level trace|debug|info|warn|error|off]\n"
-      "                         [--metrics-out <file>]\n"
-      "       flatnet_diffcheck --repro "
-      "<era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>\n"
-      "       flatnet_diffcheck --repro <era>:<topo-seed>:<ases>:<case-seed>:batch\n"
-      "       flatnet_diffcheck --graph-identity <file.graph>\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_diffcheck [--cases N] [--seed S] [--min-ases A] [--max-ases B]\n"
+    "                         [--per-topology K] [--era 2020|2015|both]\n"
+    "                         [--log-level trace|debug|info|warn|error|off]\n"
+    "                         [--metrics-out <file>]\n"
+    "       flatnet_diffcheck --repro "
+    "<era>:<topo-seed>:<ases>:<case-seed>:<excluded>:<lock>:<locked>:<senders>\n"
+    "       flatnet_diffcheck --repro <era>:<topo-seed>:<ases>:<case-seed>:batch\n"
+    "       flatnet_diffcheck --graph-identity <file.graph>\n";
 
 template <typename T>
 bool ColumnsEqual(const char* name, std::span<const T> mapped, std::span<const T> built) {
@@ -88,13 +84,7 @@ bool ColumnsEqual(const char* name, std::span<const T> mapped, std::span<const T
 }
 
 int RunGraphIdentity(const std::string& path) {
-  Internet internet;
-  try {
-    internet = LoadInternetBinary(path);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_diffcheck: %s\n", e.what());
-    return 1;
-  }
+  Internet internet = LoadInternetBinary(path);
   const AsGraph& mapped = internet.graph();
   AsGraphBuilder builder;
   for (AsId id = 0; id < mapped.num_ases(); ++id) builder.AddAs(mapped.AsnOf(id));
@@ -180,33 +170,27 @@ bool RunBatchCase(const World& world, const TopologyKey& topo, std::uint64_t cas
 int RunRepro(const std::string& repro) {
   auto fields = Split(repro, ':');
   bool batch = fields.size() == 5 && fields[4] == "batch";
-  if (fields.size() != 8 && !batch) return Usage();
+  if (fields.size() != 8 && !batch) throw cli::UsageError("--repro: wrong number of fields");
   TopologyKey topo;
   if (fields[0] == "2020") {
     topo.era2020 = true;
   } else if (fields[0] == "2015") {
     topo.era2020 = false;
   } else {
-    return Usage();
+    throw cli::UsageError("--repro: era must be 2020 or 2015");
   }
-  auto topo_seed = ParseU64(fields[1]);
-  auto ases = ParseU64(fields[2]);
-  auto case_seed = ParseU64(fields[3]);
-  if (!topo_seed || !ases || !case_seed) return Usage();
-  topo.topo_seed = *topo_seed;
-  topo.ases = static_cast<std::uint32_t>(*ases);
+  topo.topo_seed = cli::ParseUnsigned<std::uint64_t>(fields[1], "--repro topo-seed");
+  topo.ases = cli::ParseUnsigned<std::uint32_t>(fields[2], "--repro ases");
   check::DiffCaseConfig config;
-  config.case_seed = *case_seed;
+  config.case_seed = cli::ParseUnsigned<std::uint64_t>(fields[3], "--repro case-seed");
   if (!batch) {
-    auto excluded = ParseU64(fields[4]);
     auto lock = check::ParseLockSetup(fields[5]);
-    auto locked = ParseU64(fields[6]);
-    auto senders = ParseU64(fields[7]);
-    if (!excluded || !lock || !locked || !senders) return Usage();
-    config.excluded_count = *excluded;
+    if (!lock) throw cli::UsageError("--repro: unknown lock setup");
+    config.excluded_count = cli::ParseUnsigned<std::size_t>(fields[4], "--repro excluded");
     config.lock = *lock;
-    config.locked_count = *locked;
-    config.filtered_sender_count = *senders;
+    config.locked_count = cli::ParseUnsigned<std::size_t>(fields[6], "--repro locked");
+    config.filtered_sender_count =
+        cli::ParseUnsigned<std::size_t>(fields[7], "--repro senders");
   }
 
   World world = BuildWorld(topo);
@@ -220,116 +204,90 @@ int RunRepro(const std::string& repro) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t cases = 200;
-  std::uint64_t seed = 20200901;
-  std::uint64_t min_ases = 200;
-  std::uint64_t max_ases = 900;
-  std::uint64_t per_topology = 8;
-  std::string era = "both";
-  std::string repro;
-  std::string graph_identity;
-  std::string metrics_out;
+  return cli::Main(argc, argv, "flatnet_diffcheck", kUsage, [](cli::Args& args) {
+    std::uint64_t cases = 200;
+    std::uint64_t seed = 20200901;
+    std::uint32_t min_ases = 200;
+    std::uint32_t max_ases = 900;
+    std::uint64_t per_topology = 8;
+    std::string era = "both";
+    std::string repro;
+    std::string graph_identity;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (parsed) *out = *parsed;
-      return parsed.has_value();
-    };
-    if (arg == "--cases") {
-      if (!next_u64(&cases)) return Usage();
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--min-ases") {
-      if (!next_u64(&min_ases)) return Usage();
-    } else if (arg == "--max-ases") {
-      if (!next_u64(&max_ases)) return Usage();
-    } else if (arg == "--per-topology") {
-      if (!next_u64(&per_topology)) return Usage();
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v) return Usage();
-      era = v;
-      if (era != "2020" && era != "2015" && era != "both") return Usage();
-    } else if (arg == "--repro") {
-      const char* v = next();
-      if (!v) return Usage();
-      repro = v;
-    } else if (arg == "--graph-identity") {
-      const char* v = next();
-      if (!v) return Usage();
-      graph_identity = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else {
-      return Usage();
-    }
-  }
-  if (min_ases < 50 || max_ases < min_ases || per_topology == 0 || cases == 0) return Usage();
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
-  if (!graph_identity.empty()) return finish(RunGraphIdentity(graph_identity));
-  if (!repro.empty()) return finish(RunRepro(repro));
-
-  Rng master(seed);
-  Stopwatch total;
-  std::uint64_t done = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t topologies = 0;
-  while (done < cases) {
-    TopologyKey topo;
-    topo.era2020 = era == "2020" || (era == "both" && topologies % 2 == 0);
-    topo.topo_seed = master.NextU64();
-    topo.ases =
-        static_cast<std::uint32_t>(min_ases + master.UniformU64(max_ases - min_ases + 1));
-    Stopwatch sw;
-    World world = BuildWorld(topo);
-    ++topologies;
-    std::size_t n = world.num_ases();
-    obs::Log(obs::LogLevel::kInfo, "diffcheck", "topology")
-        .Kv("era", topo.era2020 ? "2020" : "2015")
-        .Kv("seed", static_cast<std::uint64_t>(topo.topo_seed))
-        .Kv("ases", static_cast<std::uint64_t>(n))
-        .Kv("edges", static_cast<std::uint64_t>(world.full_graph.num_edges()))
-        .Kv("gen_s", sw.ElapsedSeconds());
-    if (!RunBatchCase(world, topo, topo.topo_seed)) ++failures;
-
-    for (std::uint64_t k = 0; k < per_topology && done < cases; ++k, ++done) {
-      check::DiffCaseConfig config;
-      config.case_seed = master.NextU64();
-      // Every third case runs the unrestricted graph; the rest excise up to
-      // ~12% of the ASes. Lock setups cycle so all three appear per
-      // topology.
-      config.excluded_count = k % 3 == 0 ? 0 : 1 + master.UniformU64(n / 8);
-      switch (k % 3) {
-        case 0: config.lock = check::LockSetup::kNone; break;
-        case 1: config.lock = check::LockSetup::kFull; break;
-        default: config.lock = check::LockSetup::kDirectOnly; break;
+    while (args.Next()) {
+      if (args.Is("--cases")) {
+        cases = args.Unsigned<std::uint64_t>(1);
+      } else if (args.Is("--seed")) {
+        seed = args.Unsigned<std::uint64_t>();
+      } else if (args.Is("--min-ases")) {
+        min_ases = args.Unsigned<std::uint32_t>(50);
+      } else if (args.Is("--max-ases")) {
+        max_ases = args.Unsigned<std::uint32_t>();
+      } else if (args.Is("--per-topology")) {
+        per_topology = args.Unsigned<std::uint64_t>(1);
+      } else if (args.Is("--era")) {
+        constexpr const char* kEras[] = {"2020", "2015", "both"};
+        era = kEras[args.Choice({"2020", "2015", "both"})];
+      } else if (args.Is("--repro")) {
+        repro = args.Value();
+      } else if (args.Is("--graph-identity")) {
+        graph_identity = args.Value();
+      } else {
+        args.Unknown();
       }
-      if (config.lock != check::LockSetup::kNone) {
-        config.locked_count = 1 + master.UniformU64(n / 10);
-        config.filtered_sender_count = 1 + master.UniformU64(3);
-      }
-      if (!RunCase(world, topo, config)) ++failures;
     }
-  }
+    if (max_ases < min_ases) throw cli::UsageError("--max-ases is below --min-ases");
 
-  std::printf("diffcheck: %llu cases over %llu topologies, %llu mismatches, %.1fs\n",
-              static_cast<unsigned long long>(done),
-              static_cast<unsigned long long>(topologies),
-              static_cast<unsigned long long>(failures), total.ElapsedSeconds());
-  return finish(failures == 0 ? 0 : 1);
+    if (!graph_identity.empty()) return RunGraphIdentity(graph_identity);
+    if (!repro.empty()) return RunRepro(repro);
+
+    Rng master(seed);
+    Stopwatch total;
+    std::uint64_t done = 0;
+    std::uint64_t failures = 0;
+    std::uint64_t topologies = 0;
+    while (done < cases) {
+      TopologyKey topo;
+      topo.era2020 = era == "2020" || (era == "both" && topologies % 2 == 0);
+      topo.topo_seed = master.NextU64();
+      std::uint64_t span = std::uint64_t{max_ases} - min_ases + 1;
+      topo.ases = static_cast<std::uint32_t>(min_ases + master.UniformU64(span));
+      Stopwatch sw;
+      World world = BuildWorld(topo);
+      ++topologies;
+      std::size_t n = world.num_ases();
+      obs::Log(obs::LogLevel::kInfo, "diffcheck", "topology")
+          .Kv("era", topo.era2020 ? "2020" : "2015")
+          .Kv("seed", static_cast<std::uint64_t>(topo.topo_seed))
+          .Kv("ases", static_cast<std::uint64_t>(n))
+          .Kv("edges", static_cast<std::uint64_t>(world.full_graph.num_edges()))
+          .Kv("gen_s", sw.ElapsedSeconds());
+      if (!RunBatchCase(world, topo, topo.topo_seed)) ++failures;
+
+      for (std::uint64_t k = 0; k < per_topology && done < cases; ++k, ++done) {
+        check::DiffCaseConfig config;
+        config.case_seed = master.NextU64();
+        // Every third case runs the unrestricted graph; the rest excise up
+        // to ~12% of the ASes. Lock setups cycle so all three appear per
+        // topology.
+        config.excluded_count = k % 3 == 0 ? 0 : 1 + master.UniformU64(n / 8);
+        switch (k % 3) {
+          case 0: config.lock = check::LockSetup::kNone; break;
+          case 1: config.lock = check::LockSetup::kFull; break;
+          default: config.lock = check::LockSetup::kDirectOnly; break;
+        }
+        if (config.lock != check::LockSetup::kNone) {
+          config.locked_count = 1 + master.UniformU64(n / 10);
+          config.filtered_sender_count = 1 + master.UniformU64(3);
+        }
+        if (!RunCase(world, topo, config)) ++failures;
+      }
+    }
+
+    std::printf("diffcheck: %llu cases over %llu topologies, %llu mismatches, %.1fs\n",
+                static_cast<unsigned long long>(done),
+                static_cast<unsigned long long>(topologies),
+                static_cast<unsigned long long>(failures), total.ElapsedSeconds());
+    return failures == 0 ? 0 : 1;
+  });
 }

@@ -24,6 +24,7 @@
 // a byte-identical store. --throttle-chunk-ms and --max-chunks are test
 // hooks (slow the run so a kill can land mid-run / stop after N chunks).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -31,14 +32,10 @@
 
 #include "bgp/hegemony.h"
 #include "bgp/propagation.h"
-#include "campaign/cli.h"
+#include "cli/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "failsim/engine.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
-#include "util/error.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -46,19 +43,15 @@ using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: flatnet_failsim <stem> [--origins N | --origin <asn>] [--trials N]\n"
-      "                       [--seed S] [--scenarios single_as,tier1,hegemony_cascade,\n"
-      "                        link_set] [--severity K] [--threads N] [--chunk N]\n"
-      "                       [--out <file>] [--resume] [--users] [--trim F]\n"
-      "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
-      "                       [--log-level <level>] [--metrics-out <file>]\n"
-      "       flatnet_failsim <stem> --hegemony --origin <asn> [--top N] [--trim F]\n"
-      "                       [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_failsim <stem> [--origins N | --origin <asn>] [--trials N]\n"
+    "                       [--seed S] [--scenarios single_as,tier1,hegemony_cascade,\n"
+    "                        link_set] [--severity K] [--threads N] [--chunk N]\n"
+    "                       [--out <file>] [--resume] [--users] [--trim F]\n"
+    "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
+    "                       [--log-level <level>] [--metrics-out <file>]\n"
+    "       flatnet_failsim <stem> --hegemony --origin <asn> [--top N] [--trim F]\n"
+    "                       [--log-level <level>] [--metrics-out <file>]\n";
 
 bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>* out) {
   out->clear();
@@ -86,113 +79,68 @@ bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>*
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stem;
-  std::string out;
-  std::string metrics_out;
-  std::optional<Asn> origin_asn;
-  std::uint32_t trials = 32;
-  std::size_t origins = 0;
-  std::size_t top = 10;
-  std::uint64_t seed = 1;
-  std::uint32_t severity = 2;
-  bool hegemony_mode = false;
-  bool use_users = false;
-  std::vector<failsim::FailScenario> scenarios = {
-      failsim::FailScenario::kSingleAs,
-      failsim::FailScenario::kTier1,
-      failsim::FailScenario::kHegemonyCascade,
-      failsim::FailScenario::kLinkSet,
-  };
-  failsim::FailCampaignOptions options;
+  return cli::Main(argc, argv, "flatnet_failsim", kUsage, [](cli::Args& args) {
+    std::string stem;
+    std::string out;
+    std::optional<Asn> origin_asn;
+    std::uint32_t trials = 32;
+    std::size_t origins = 0;
+    std::size_t top = 10;
+    std::uint64_t seed = 1;
+    std::uint32_t severity = 2;
+    bool hegemony_mode = false;
+    bool use_users = false;
+    std::vector<failsim::FailScenario> scenarios = {
+        failsim::FailScenario::kSingleAs,
+        failsim::FailScenario::kTier1,
+        failsim::FailScenario::kHegemonyCascade,
+        failsim::FailScenario::kLinkSet,
+    };
+    failsim::FailCampaignOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    campaign::FlagStatus run_flag =
-        campaign::ParseRunFlag(argc, argv, &i, &options, &options.chunk_trials);
-    if (run_flag == campaign::FlagStatus::kBad) return Usage();
-    if (run_flag == campaign::FlagStatus::kParsed) continue;
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return Usage();
-      out = v;
-    } else if (arg == "--origin") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &origin_asn.emplace())) return Usage();
-    } else if (arg == "--origins") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &origins) || origins == 0) return Usage();
-    } else if (arg == "--trials") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &trials)) return Usage();
-    } else if (arg == "--seed") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &seed)) return Usage();
-    } else if (arg == "--top") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &top) || top == 0) return Usage();
-    } else if (arg == "--severity") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &severity) || severity == 0) return Usage();
-    } else if (arg == "--trim") {
-      const char* v = next();
-      auto parsed = v ? ParseDouble(v) : std::nullopt;
-      if (!parsed || *parsed < 0.0 || *parsed >= 0.5) return Usage();
-      options.hegemony_trim = *parsed;
-    } else if (arg == "--hegemony") {
-      hegemony_mode = true;
-    } else if (arg == "--users") {
-      use_users = true;
-    } else if (arg == "--scenarios") {
-      const char* v = next();
-      if (!v || !ParseScenarios(v, &scenarios)) return Usage();
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
+    while (args.Next()) {
+      if (args.RunFlag(&options, &options.chunk_trials)) continue;
+      if (args.Is("--out")) {
+        out = args.Value();
+      } else if (args.Is("--origin")) {
+        // ASN 0 is reserved (RFC 7607) and never appears in a topology.
+        origin_asn = args.Unsigned<Asn>(1);
+      } else if (args.Is("--origins")) {
+        origins = args.Unsigned<std::size_t>(1);
+      } else if (args.Is("--trials")) {
+        trials = args.Unsigned<std::uint32_t>();
+      } else if (args.Is("--seed")) {
+        seed = args.Unsigned<std::uint64_t>();
+      } else if (args.Is("--top")) {
+        top = args.Unsigned<std::size_t>(1);
+      } else if (args.Is("--severity")) {
+        severity = args.Unsigned<std::uint32_t>(1);
+      } else if (args.Is("--trim")) {
+        // Each end trims a fraction below one half.
+        options.hegemony_trim = args.Double(0.0, std::nextafter(0.5, 0.0));
+      } else if (args.Is("--hegemony")) {
+        hegemony_mode = true;
+      } else if (args.Is("--users")) {
+        use_users = true;
+      } else if (args.Is("--scenarios")) {
+        if (!ParseScenarios(args.Value(), &scenarios)) {
+          throw cli::UsageError("--scenarios: unknown scenario in the list");
+        }
+      } else {
+        stem = args.Positional();
+      }
     }
-  }
-  if (stem.empty()) return Usage();
-  if (hegemony_mode && !origin_asn.has_value()) {
-    std::fprintf(stderr, "flatnet_failsim: --hegemony requires --origin\n");
-    return Usage();
-  }
-  if (origin_asn.has_value() && *origin_asn == 0) {
-    // ASN 0 is reserved (RFC 7607) and never appears in a topology.
-    std::fprintf(stderr, "flatnet_failsim: ASN 0 is reserved and cannot be an origin\n");
-    return 2;
-  }
-  if (!hegemony_mode && origins == 0 && !origin_asn.has_value()) origins = 5;
+    if (stem.empty()) throw cli::UsageError();
+    if (hegemony_mode && !origin_asn.has_value()) {
+      throw cli::UsageError("--hegemony requires --origin");
+    }
+    if (!hegemony_mode && origins == 0 && !origin_asn.has_value()) origins = 5;
 
-  obs::RegisterCoreMetrics();
-  obs::InstallCrashHandlerFromEnv();
-  // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence so a
-  // collector can watch a long campaign live; no-op when either is unset.
-  obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
-
-  try {
     Internet internet = LoadInternetAuto(stem);
     std::size_t n = internet.num_ases();
 
-    auto lookup = [&](std::uint64_t asn) {
-      auto id = internet.graph().IdOf(static_cast<Asn>(asn));
-      if (!id) {
-        throw Error(StrFormat("AS%llu not present in the topology",
-                              static_cast<unsigned long long>(asn)));
-      }
-      return *id;
-    };
-
     if (hegemony_mode) {
-      AsId origin = lookup(*origin_asn);
+      AsId origin = cli::ResolveAsn(internet, *origin_asn);
       RouteComputation computation(internet.graph(), {{.node = origin}});
       HegemonyOptions hegemony_options;
       hegemony_options.trim = options.hegemony_trim;
@@ -208,7 +156,7 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(internet.graph().AsnOf(a)),
                     internet.NameOf(a).c_str(), result.hegemony[a]);
       }
-      return finish(0);
+      return 0;
     }
 
     // Campaign mode: origins x scenarios. The master seed drives both the
@@ -217,7 +165,7 @@ int main(int argc, char** argv) {
     Rng master(seed);
     std::vector<AsId> origin_ids;
     if (origin_asn.has_value()) {
-      origin_ids.push_back(lookup(*origin_asn));
+      origin_ids.push_back(cli::ResolveAsn(internet, *origin_asn));
     } else {
       for (std::uint32_t id : master.SampleWithoutReplacement(
                static_cast<std::uint32_t>(n),
@@ -242,8 +190,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> users;
     if (use_users) {
-      users.resize(n);
-      for (AsId id = 0; id < n; ++id) users[id] = internet.metadata().Get(id).users;
+      users = internet.metadata().UserArray();
       options.users = &users;
     }
     if (out.empty()) out = stem + ".fail";
@@ -254,9 +201,9 @@ int main(int argc, char** argv) {
 
     failsim::FailCampaignStats stats;
     failsim::FailTable table = failsim::RunFailureCampaign(internet, cells, options, &stats);
-    if (!campaign::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
-                             options.journal_path)) {
-      return finish(0);
+    if (!cli::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
+                        options.journal_path)) {
+      return 0;
     }
 
     for (const failsim::FailCellResult& cell : table.cells) {
@@ -270,13 +217,10 @@ int main(int argc, char** argv) {
       }
       std::string label = StrFormat("AS%llu %-18s loss", static_cast<unsigned long long>(asn),
                                     ToString(cell.spec.scenario));
-      campaign::PrintSeries(label.c_str(), cell.loss_ases);
+      cli::PrintSeries(label.c_str(), cell.loss_ases);
     }
     failsim::FinalizeFailStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_failsim: %s\n", e.what());
-    return finish(1);
-  }
-  return finish(0);
+    return 0;
+  });
 }

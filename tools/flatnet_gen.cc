@@ -25,30 +25,25 @@
 #include <sys/resource.h>
 
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <string>
 
+#include "cli/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "core/study.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "util/stopwatch.h"
-#include "util/strings.h"
 
 using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_gen [--era 2015|2020] [--ases N] [--seed S] [--truth]\n"
-               "                   [--world-only] [--graph-out <file.graph>]\n"
-               "                   [--stream-budget-mb N] [--no-prefixes]\n"
-               "                   [--log-level <level>] [--metrics-out <file>]\n"
-               "                   [<output-stem>]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_gen [--era 2015|2020] [--ases N] [--seed S] [--truth]\n"
+    "                   [--world-only] [--graph-out <file.graph>]\n"
+    "                   [--stream-budget-mb N] [--no-prefixes]\n"
+    "                   [--log-level <level>] [--metrics-out <file>]\n"
+    "                   [<output-stem>]\n";
 
 long PeakRssKb() {
   struct rusage usage;
@@ -59,109 +54,83 @@ long PeakRssKb() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string era = "2020";
-  std::uint32_t ases = 0;
-  std::uint64_t seed = 0;
-  std::uint64_t stream_budget_mb = 0;
-  bool use_truth = false;
-  bool world_only = false;
-  bool no_prefixes = false;
-  std::string stem;
-  std::string graph_out;
-  std::string metrics_out;
+  return cli::Main(argc, argv, "flatnet_gen", kUsage, [](cli::Args& args) {
+    std::string era = "2020";
+    std::uint32_t ases = 0;
+    std::uint64_t seed = 0;
+    std::uint64_t stream_budget_mb = 0;
+    bool use_truth = false;
+    bool world_only = false;
+    bool no_prefixes = false;
+    std::string stem;
+    std::string graph_out;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) return nullptr;
-      return argv[++i];
-    };
-    if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "2015") != 0 && std::strcmp(v, "2020") != 0)) return Usage();
-      era = v;
-    } else if (arg == "--ases") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      ases = static_cast<std::uint32_t>(*parsed);
-    } else if (arg == "--seed") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      seed = *parsed;
-    } else if (arg == "--stream-budget-mb") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      stream_budget_mb = *parsed;
-    } else if (arg == "--graph-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      graph_out = v;
-    } else if (arg == "--truth") {
-      use_truth = true;
-    } else if (arg == "--world-only") {
-      world_only = true;
-    } else if (arg == "--no-prefixes") {
-      no_prefixes = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
+    while (args.Next()) {
+      if (args.Is("--era")) {
+        era = args.Choice({"2015", "2020"}) == 0 ? "2015" : "2020";
+      } else if (args.Is("--ases")) {
+        ases = args.Unsigned<std::uint32_t>();
+      } else if (args.Is("--seed")) {
+        seed = args.Unsigned<std::uint64_t>();
+      } else if (args.Is("--stream-budget-mb")) {
+        // Scaled to bytes below, so the MB count must not overflow.
+        stream_budget_mb =
+            args.Unsigned<std::uint64_t>(0, std::numeric_limits<std::uint64_t>::max() >> 20);
+      } else if (args.Is("--graph-out")) {
+        graph_out = args.Value();
+      } else if (args.Is("--truth")) {
+        use_truth = true;
+      } else if (args.Is("--world-only")) {
+        world_only = true;
+      } else if (args.Is("--no-prefixes")) {
+        no_prefixes = true;
+      } else {
+        stem = args.Positional();
+      }
     }
-  }
-  if (stem.empty() && graph_out.empty()) return Usage();
+    if (stem.empty() && graph_out.empty()) throw cli::UsageError();
 
-  GeneratorParams generator =
-      era == "2015" ? GeneratorParams::Era2015(ases) : GeneratorParams::Era2020(ases);
-  if (seed != 0) generator.seed = seed;
-  generator.stream_budget_bytes = stream_budget_mb * 1024 * 1024;
-  generator.assign_prefixes = !no_prefixes;
+    GeneratorParams generator =
+        era == "2015" ? GeneratorParams::Era2015(ases) : GeneratorParams::Era2020(ases);
+    if (seed != 0) generator.seed = seed;
+    generator.stream_budget_bytes = stream_budget_mb << 20;
+    generator.assign_prefixes = !no_prefixes;
 
-  std::fprintf(stderr, "generating %s-era Internet (%u ASes, seed %llu%s)...\n", era.c_str(),
-               generator.total_ases, static_cast<unsigned long long>(generator.seed),
-               world_only ? ", world-only" : "");
-  Stopwatch sw;
-  Internet internet;
-  const char* flavor;
-  if (world_only) {
-    World world = GenerateWorld(generator);
-    internet = Internet(std::move(world.full_graph), std::move(world.tiers),
-                        std::move(world.metadata));
-    flavor = "ground-truth";
-  } else {
-    StudyOptions options;
-    options.generator = generator;
-    options.campaign.seed = generator.seed ^ 0xca3;
-    Study study(options);
-    internet = use_truth ? study.truth() : study.internet();
-    flavor = use_truth ? "ground-truth" : "measured";
-  }
-  double generate_s = sw.ElapsedSeconds();
+    std::fprintf(stderr, "generating %s-era Internet (%u ASes, seed %llu%s)...\n", era.c_str(),
+                 generator.total_ases, static_cast<unsigned long long>(generator.seed),
+                 world_only ? ", world-only" : "");
+    Stopwatch sw;
+    Internet internet;
+    const char* flavor;
+    if (world_only) {
+      World world = GenerateWorld(generator);
+      internet = Internet(std::move(world.full_graph), std::move(world.tiers),
+                          std::move(world.metadata));
+      flavor = "ground-truth";
+    } else {
+      StudyOptions options;
+      options.generator = generator;
+      options.campaign.seed = generator.seed ^ 0xca3;
+      Study study(options);
+      internet = use_truth ? study.truth() : study.internet();
+      flavor = use_truth ? "ground-truth" : "measured";
+    }
+    double generate_s = sw.ElapsedSeconds();
 
-  if (!stem.empty()) {
-    SaveInternet(internet, stem);
-    std::printf("wrote %s.as-rel.txt (%zu ASes, %zu edges) and %s.meta.tsv [%s topology]\n",
-                stem.c_str(), internet.num_ases(), internet.graph().num_edges(), stem.c_str(),
-                flavor);
-  }
-  if (!graph_out.empty()) {
-    SaveInternetBinary(internet, graph_out);
-    std::printf("wrote %s (%zu ASes, %zu edges, fingerprint %016llx) [%s topology]\n",
-                graph_out.c_str(), internet.num_ases(), internet.graph().num_edges(),
-                static_cast<unsigned long long>(ReadGraphStoreFingerprint(graph_out)), flavor);
-  }
-  std::fprintf(stderr, "generated in %.2fs, peak RSS %ld KB\n", generate_s, PeakRssKb());
-  if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-  return 0;
+    if (!stem.empty()) {
+      SaveInternet(internet, stem);
+      std::printf("wrote %s.as-rel.txt (%zu ASes, %zu edges) and %s.meta.tsv [%s topology]\n",
+                  stem.c_str(), internet.num_ases(), internet.graph().num_edges(), stem.c_str(),
+                  flavor);
+    }
+    if (!graph_out.empty()) {
+      SaveInternetBinary(internet, graph_out);
+      std::printf("wrote %s (%zu ASes, %zu edges, fingerprint %016llx) [%s topology]\n",
+                  graph_out.c_str(), internet.num_ases(), internet.graph().num_edges(),
+                  static_cast<unsigned long long>(ReadGraphStoreFingerprint(graph_out)),
+                  flavor);
+    }
+    std::fprintf(stderr, "generated in %.2fs, peak RSS %ld KB\n", generate_s, PeakRssKb());
+    return 0;
+  });
 }

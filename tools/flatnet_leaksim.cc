@@ -28,15 +28,11 @@
 #include <string>
 #include <vector>
 
-#include "campaign/cli.h"
-#include "core/leak_scenarios.h"
+#include "cli/cli.h"
 #include "core/graph_store.h"
+#include "core/leak_scenarios.h"
 #include "core/serialize.h"
 #include "leaksim/engine.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
-#include "util/error.h"
 #include "util/rng.h"
 #include "util/strings.h"
 
@@ -44,19 +40,16 @@ using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_leaksim <stem> --victim <asn> [--trials N] [--seed S]\n"
-               "                       [--lock none|t1|t1t2|global] [--hierarchy-only]\n"
-               "                       [--pre-erratum] [--log-level <level>]\n"
-               "                       [--metrics-out <file>]\n"
-               "       flatnet_leaksim <stem> --campaign [--victims N | --victim <asn>]\n"
-               "                       [--trials N] [--seed S] [--threads N] [--chunk N]\n"
-               "                       [--out <file>] [--resume] [--users] [--pre-erratum]\n"
-               "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
-               "                       [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_leaksim <stem> --victim <asn> [--trials N] [--seed S]\n"
+    "                       [--lock none|t1|t1t2|global] [--hierarchy-only]\n"
+    "                       [--pre-erratum] [--log-level <level>]\n"
+    "                       [--metrics-out <file>]\n"
+    "       flatnet_leaksim <stem> --campaign [--victims N | --victim <asn>]\n"
+    "                       [--trials N] [--seed S] [--threads N] [--chunk N]\n"
+    "                       [--out <file>] [--resume] [--users] [--pre-erratum]\n"
+    "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
+    "                       [--log-level <level>] [--metrics-out <file>]\n";
 
 constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
     LeakScenario::kAnnounceAll,           LeakScenario::kAnnounceAllLockT1,
@@ -64,7 +57,7 @@ constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
     LeakScenario::kAnnounceHierarchyOnly,
 };
 
-void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t collected,
+void WarnUnderCollected(Asn asn, LeakScenario scenario, std::size_t collected,
                         std::size_t requested, std::size_t attempts) {
   std::fprintf(stderr,
                "warning: victim AS%llu scenario \"%s\": only %zu of %zu trials collected "
@@ -72,122 +65,63 @@ void WarnUnderCollected(AsId victim, Asn asn, LeakScenario scenario, std::size_t
                "requested\n",
                static_cast<unsigned long long>(asn), ToString(scenario), collected, requested,
                attempts);
-  (void)victim;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stem;
-  std::string out;
-  std::string metrics_out;
-  std::optional<Asn> victim_asn;
-  std::uint32_t trials = 500;
-  std::size_t victims = 0;
-  std::uint64_t seed = 1;
-  LeakScenario scenario = LeakScenario::kAnnounceAll;
-  bool hierarchy_only = false;
-  bool campaign = false;
-  bool use_users = false;
-  PeerLockMode mode = PeerLockMode::kFull;
-  leaksim::LeakCampaignOptions options;
+  return cli::Main(argc, argv, "flatnet_leaksim", kUsage, [](cli::Args& args) {
+    std::string stem;
+    std::string out;
+    std::optional<Asn> victim_asn;
+    std::uint32_t trials = 500;
+    std::size_t victims = 0;
+    std::uint64_t seed = 1;
+    LeakScenario scenario = LeakScenario::kAnnounceAll;
+    bool hierarchy_only = false;
+    bool campaign = false;
+    bool use_users = false;
+    PeerLockMode mode = PeerLockMode::kFull;
+    leaksim::LeakCampaignOptions options;
 
-  for (int i = 1; i < argc; ++i) {
-    campaign::FlagStatus run_flag =
-        campaign::ParseRunFlag(argc, argv, &i, &options, &options.chunk_trials);
-    if (run_flag == campaign::FlagStatus::kBad) return Usage();
-    if (run_flag == campaign::FlagStatus::kParsed) continue;
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (!v) return Usage();
-      out = v;
-    } else if (arg == "--victim") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &victim_asn.emplace())) return Usage();
-    } else if (arg == "--victims") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &victims) || victims == 0) return Usage();
-    } else if (arg == "--trials") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &trials)) return Usage();
-    } else if (arg == "--seed") {
-      if (!campaign::NextUnsigned(argc, argv, &i, &seed)) return Usage();
-    } else if (arg == "--campaign") {
-      campaign = true;
-    } else if (arg == "--users") {
-      use_users = true;
-    } else if (arg == "--lock") {
-      const char* v = next();
-      std::string lock = v ? v : "";
-      if (lock == "none") {
-        scenario = LeakScenario::kAnnounceAll;
-      } else if (lock == "t1") {
-        scenario = LeakScenario::kAnnounceAllLockT1;
-      } else if (lock == "t1t2") {
-        scenario = LeakScenario::kAnnounceAllLockT1T2;
-      } else if (lock == "global") {
-        scenario = LeakScenario::kAnnounceAllLockGlobal;
+    while (args.Next()) {
+      if (args.RunFlag(&options, &options.chunk_trials)) continue;
+      if (args.Is("--out")) {
+        out = args.Value();
+      } else if (args.Is("--victim")) {
+        // ASN 0 is reserved (RFC 7607) and never appears in a topology.
+        victim_asn = args.Unsigned<Asn>(1);
+      } else if (args.Is("--victims")) {
+        victims = args.Unsigned<std::size_t>(1);
+      } else if (args.Is("--trials")) {
+        trials = args.Unsigned<std::uint32_t>();
+      } else if (args.Is("--seed")) {
+        seed = args.Unsigned<std::uint64_t>();
+      } else if (args.Is("--campaign")) {
+        campaign = true;
+      } else if (args.Is("--users")) {
+        use_users = true;
+      } else if (args.Is("--lock")) {
+        scenario = kAllScenarios[args.Choice({"none", "t1", "t1t2", "global"})];
+      } else if (args.Is("--hierarchy-only")) {
+        hierarchy_only = true;
+      } else if (args.Is("--pre-erratum")) {
+        mode = PeerLockMode::kDirectOnly;
       } else {
-        return Usage();
+        stem = args.Positional();
       }
-    } else if (arg == "--hierarchy-only") {
-      hierarchy_only = true;
-    } else if (arg == "--pre-erratum") {
-      mode = PeerLockMode::kDirectOnly;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
     }
-  }
-  if (stem.empty()) return Usage();
-  if (!campaign && !victim_asn.has_value()) {
-    std::fprintf(stderr, "flatnet_leaksim: --victim is required (or use --campaign)\n");
-    return Usage();
-  }
-  if (victim_asn.has_value() && *victim_asn == 0) {
-    // ASN 0 is reserved (RFC 7607) and never appears in a topology; the
-    // old flag parser used it as a "flag missing" sentinel and reported a
-    // confusing lookup failure instead.
-    std::fprintf(stderr, "flatnet_leaksim: ASN 0 is reserved and cannot be a victim\n");
-    return 2;
-  }
-  if (campaign && victims == 0 && !victim_asn.has_value()) victims = 5;
-  if (hierarchy_only) scenario = LeakScenario::kAnnounceHierarchyOnly;
+    if (stem.empty()) throw cli::UsageError();
+    if (!campaign && !victim_asn.has_value()) {
+      throw cli::UsageError("--victim is required (or use --campaign)");
+    }
+    if (campaign && victims == 0 && !victim_asn.has_value()) victims = 5;
+    if (hierarchy_only) scenario = LeakScenario::kAnnounceHierarchyOnly;
 
-  obs::RegisterCoreMetrics();
-  obs::InstallCrashHandlerFromEnv();
-  // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence so a
-  // collector can watch a long campaign live; no-op when either is unset.
-  obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
-
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
-
-  try {
     Internet internet = LoadInternetAuto(stem);
 
-    auto lookup = [&](std::uint64_t asn) {
-      auto id = internet.graph().IdOf(static_cast<Asn>(asn));
-      if (!id) {
-        throw Error(StrFormat("AS%llu not present in the topology",
-                              static_cast<unsigned long long>(asn)));
-      }
-      return *id;
-    };
-
     if (!campaign) {
-      AsId victim = lookup(*victim_asn);
+      AsId victim = cli::ResolveAsn(internet, *victim_asn);
       LeakTrialSeries series =
           RunLeakScenario(internet, victim, scenario, trials, seed, nullptr, mode);
       std::printf("victim AS%llu (%s), scenario: %s%s, %zu trials\n",
@@ -196,22 +130,22 @@ int main(int argc, char** argv) {
                   mode == PeerLockMode::kDirectOnly ? " [pre-erratum]" : "",
                   series.collected());
       if (series.UnderCollected()) {
-        WarnUnderCollected(victim, static_cast<Asn>(*victim_asn), scenario,
-                           series.collected(), series.trials_requested, series.attempts);
+        WarnUnderCollected(*victim_asn, scenario, series.collected(), series.trials_requested,
+                           series.attempts);
       }
       if (series.collected() == 0) {
         if (series.trials_requested == 0) {
           std::printf("ASes detoured: no trials requested\n");
-          return finish(0);
+          return 0;
         }
         std::fprintf(stderr,
                      "no valid leak trials collected in %zu draws (every drawn AS lacked a "
                      "route to the victim)\n",
                      series.attempts);
-        return finish(1);
+        return 1;
       }
-      campaign::PrintSeries("ASes detoured:", series.fraction_ases_detoured);
-      return finish(0);
+      cli::PrintSeries("ASes detoured:", series.fraction_ases_detoured);
+      return 0;
     }
 
     // Campaign mode: victims x all scenarios. The master seed drives both
@@ -221,7 +155,7 @@ int main(int argc, char** argv) {
     Rng master(seed);
     std::vector<AsId> victim_ids;
     if (victim_asn.has_value()) {
-      victim_ids.push_back(lookup(*victim_asn));
+      victim_ids.push_back(cli::ResolveAsn(internet, *victim_asn));
     } else {
       for (std::uint32_t id : master.SampleWithoutReplacement(
                static_cast<std::uint32_t>(n),
@@ -246,8 +180,7 @@ int main(int argc, char** argv) {
 
     std::vector<double> users;
     if (use_users) {
-      users.resize(n);
-      for (AsId id = 0; id < n; ++id) users[id] = internet.metadata().Get(id).users;
+      users = internet.metadata().UserArray();
       options.users = &users;
     }
     if (out.empty()) out = stem + ".leak";
@@ -258,27 +191,24 @@ int main(int argc, char** argv) {
 
     leaksim::LeakCampaignStats stats;
     leaksim::LeakTable table = leaksim::RunLeakCampaign(internet, cells, options, &stats);
-    if (!campaign::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
-                             options.journal_path)) {
-      return finish(0);
+    if (!cli::ReportRun("campaign", "trials", stats, stats.trials_evaluated,
+                        options.journal_path)) {
+      return 0;
     }
 
     for (const leaksim::LeakCellResult& cell : table.cells) {
       Asn asn = internet.graph().AsnOf(cell.spec.victim);
       if (cell.UnderCollected()) {
-        WarnUnderCollected(cell.spec.victim, asn, cell.spec.scenario, cell.collected(),
-                           cell.spec.trials, cell.attempts);
+        WarnUnderCollected(asn, cell.spec.scenario, cell.collected(), cell.spec.trials,
+                           cell.attempts);
       }
       std::string label =
           StrFormat("AS%llu %-36s", static_cast<unsigned long long>(asn),
                     ToString(cell.spec.scenario));
-      campaign::PrintSeries(label.c_str(), cell.fraction_ases);
+      cli::PrintSeries(label.c_str(), cell.fraction_ases);
     }
     leaksim::FinalizeLeakStore(out, table, options.journal_path);
     std::printf("wrote %s\n", out.c_str());
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_leaksim: %s\n", e.what());
-    return finish(1);
-  }
-  return finish(0);
+    return 0;
+  });
 }

@@ -44,7 +44,7 @@
 //   flatnet_loadgen --topology <stem> (--port P | --port-file <file>)
 //                   [--host ADDR] [--requests N] [--connections C]
 //                   [--seed S] [--verify K] [--no-timing] [--fleet]
-//                   [--log-level <level>]
+//                   [--log-level <level>] [--metrics-out <file>]
 //
 // Exits nonzero on any protocol error, transport failure, or verification
 // mismatch.
@@ -66,10 +66,10 @@
 #include <vector>
 
 #include "bgp/reachability.h"
+#include "cli/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "fleet/ring.h"
-#include "obs/log.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -80,14 +80,11 @@ using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_loadgen --topology <stem> (--port P | --port-file <file>)\n"
-               "                       [--host ADDR] [--requests N] [--connections C]\n"
-               "                       [--seed S] [--verify K] [--no-timing] [--fleet]\n"
-               "                       [--log-level <level>]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_loadgen --topology <stem> (--port P | --port-file <file>)\n"
+    "                       [--host ADDR] [--requests N] [--connections C]\n"
+    "                       [--seed S] [--verify K] [--no-timing] [--fleet]\n"
+    "                       [--log-level <level>] [--metrics-out <file>]\n";
 
 // One blocking line-oriented client connection.
 class Client {
@@ -359,12 +356,10 @@ std::string_view RawResultBytes(const std::string& response) {
   return bytes;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int Run(cli::Args& args) {
   std::string stem;
   std::string host = "127.0.0.1";
-  std::uint64_t port = 0;
+  std::uint16_t port = 0;
   std::string port_file;
   std::uint64_t requests = 200;
   std::uint64_t connections = 4;
@@ -373,58 +368,39 @@ int main(int argc, char** argv) {
   bool timing = true;
   bool fleet_mode = false;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    if (arg == "--topology") {
-      const char* v = next();
-      if (!v) return Usage();
-      stem = v;
-    } else if (arg == "--host") {
-      const char* v = next();
-      if (!v) return Usage();
-      host = v;
-    } else if (arg == "--port") {
-      if (!next_u64(&port) || port == 0 || port > 65535) return Usage();
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return Usage();
-      port_file = v;
-    } else if (arg == "--requests") {
-      if (!next_u64(&requests) || requests == 0) return Usage();
-    } else if (arg == "--connections") {
-      if (!next_u64(&connections) || connections == 0) return Usage();
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--verify") {
-      if (!next_u64(&verify)) return Usage();
-    } else if (arg == "--no-timing") {
+  while (args.Next()) {
+    if (args.Is("--topology")) {
+      stem = args.Value();
+    } else if (args.Is("--host")) {
+      host = args.Value();
+    } else if (args.Is("--port")) {
+      port = args.Unsigned<std::uint16_t>(1);
+    } else if (args.Is("--port-file")) {
+      port_file = args.Value();
+    } else if (args.Is("--requests")) {
+      requests = args.Unsigned<std::uint64_t>(1);
+    } else if (args.Is("--connections")) {
+      connections = args.Unsigned<std::uint64_t>(1);
+    } else if (args.Is("--seed")) {
+      seed = args.Unsigned<std::uint64_t>();
+    } else if (args.Is("--verify")) {
+      verify = args.Unsigned<std::uint64_t>();
+    } else if (args.Is("--no-timing")) {
       timing = false;
-    } else if (arg == "--fleet") {
+    } else if (args.Is("--fleet")) {
       fleet_mode = true;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
     } else {
-      return Usage();
+      args.Unknown();
     }
   }
-  if (stem.empty() || (port == 0) == port_file.empty()) return Usage();
+  if (stem.empty() || (port == 0) == port_file.empty()) throw cli::UsageError();
   if (!port_file.empty()) {
     std::ifstream in(port_file);
-    if (!(in >> port) || port == 0 || port > 65535) {
-      std::fprintf(stderr, "cannot read port from %s\n", port_file.c_str());
-      return 1;
+    std::uint64_t value = 0;
+    if (!(in >> value) || value == 0 || value > 65535) {
+      throw Error("cannot read port from " + port_file);
     }
+    port = static_cast<std::uint16_t>(value);
   }
 
   Internet internet = LoadInternetAuto(stem);
@@ -433,10 +409,7 @@ int main(int argc, char** argv) {
   for (AsId id = 0; id < internet.num_ases(); ++id) {
     asns.push_back(internet.graph().AsnOf(id));
   }
-  if (asns.size() < 2) {
-    std::fprintf(stderr, "topology too small to generate load\n");
-    return 1;
-  }
+  if (asns.size() < 2) throw Error("topology too small to generate load");
   Rng pool_rng(seed);
   std::vector<Asn> hot;
   for (std::size_t i = 0; i < 16; ++i) hot.push_back(asns[pool_rng.UniformU64(asns.size())]);
@@ -446,8 +419,8 @@ int main(int argc, char** argv) {
   // any combination of stores.
   Capabilities caps;
   std::optional<fleet::Ring> ring;
-  try {
-    Client probe(host, static_cast<std::uint16_t>(port));
+  {
+    Client probe(host, port);
     Json status = Json::Parse(probe.RoundTrip("{\"op\":\"status\",\"id\":\"probe\"}"));
     caps = ProbeCapabilities(status);
     if (fleet_mode) {
@@ -456,18 +429,14 @@ int main(int argc, char** argv) {
       // the shard that served it.
       const Json& ring_config = status.Get("result").Get("fleet").Get("ring");
       if (ring_config.type() != Json::Type::kObject) {
-        std::fprintf(stderr, "--fleet: %s:%u is not a flatnet_router (no fleet view)\n",
-                     host.c_str(), static_cast<unsigned>(port));
-        return 1;
+        throw Error(StrFormat("--fleet: %s:%u is not a flatnet_router (no fleet view)",
+                              host.c_str(), static_cast<unsigned>(port)));
       }
       ring.emplace(ring_config.At("shards").AsU64(), ring_config.At("vnodes").AsU64());
       std::fprintf(stderr, "fleet: %llu shards, %llu vnodes each\n",
                    static_cast<unsigned long long>(ring->num_shards()),
                    static_cast<unsigned long long>(ring->vnodes()));
     }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "status probe failed: %s\n", e.what());
-    return 1;
   }
   std::fprintf(stderr, "sweep store %s: top queries %s\n", caps.top ? "loaded" : "absent",
                caps.top ? "in the mix" : "skipped");
@@ -486,7 +455,7 @@ int main(int argc, char** argv) {
       WorkerTally& tally = tallies[w];
       if (ring) tally.shard_latencies_ms.resize(ring->num_shards());
       try {
-        Client client(host, static_cast<std::uint16_t>(port));
+        Client client(host, port);
         Rng rng(seed * 0x9e3779b97f4a7c15ULL + w + 1);
         for (;;) {
           std::uint64_t id = next_id.fetch_add(1);
@@ -574,7 +543,7 @@ int main(int argc, char** argv) {
   std::uint64_t verify_mismatches = 0;
   if (verify > 0) {
     try {
-      Client client(host, static_cast<std::uint16_t>(port));
+      Client client(host, port);
       ReachabilityEngine engine(internet.graph());
       Rng rng(seed ^ 0x5eedULL);
       for (std::uint64_t i = 0; i < verify; ++i) {
@@ -634,7 +603,7 @@ int main(int argc, char** argv) {
     fleet["partial_answers"] = partial;
     fleet["unavailable"] = unavailable;
     try {
-      Client probe(host, static_cast<std::uint16_t>(port));
+      Client probe(host, port);
       Json status = Json::Parse(probe.RoundTrip("{\"op\":\"status\",\"id\":\"post\"}"));
       const Json& counters = status.Get("result").Get("fleet");
       std::uint64_t issued = counters.Get("hedge_issued").type() == Json::Type::kNumber
@@ -704,4 +673,10 @@ int main(int argc, char** argv) {
   report["verify_mismatches"] = verify_mismatches;
   std::printf("%s\n", report.Dump().c_str());
   return (errors == 0 && verify_mismatches == 0) ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return cli::Main(argc, argv, "flatnet_loadgen", kUsage, Run);
 }

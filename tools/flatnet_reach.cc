@@ -18,13 +18,11 @@
 
 #include "asgraph/caida.h"
 #include "asgraph/tiers.h"
-#include "core/reachability_analysis.h"
+#include "cli/cli.h"
 #include "core/graph_store.h"
+#include "core/reachability_analysis.h"
 #include "core/serialize.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "sweep/engine.h"
-#include "util/error.h"
 #include "util/strings.h"
 #include "util/table.h"
 
@@ -32,71 +30,38 @@ using namespace flatnet;
 
 namespace {
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_reach (<stem> | --rel <caida-file>) (--asn <asn> | --top N)\n"
-               "                     [--threads N]\n"
-               "                     [--log-level trace|debug|info|warn|error|off]\n"
-               "                     [--metrics-out <file>]\n");
-  return 2;
-}
+constexpr char kUsage[] =
+    "usage: flatnet_reach (<stem> | --rel <caida-file>) (--asn <asn> | --top N)\n"
+    "                     [--threads N]\n"
+    "                     [--log-level trace|debug|info|warn|error|off]\n"
+    "                     [--metrics-out <file>]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stem;
-  std::string rel_file;
-  std::string metrics_out;
-  std::uint64_t asn = 0;
-  std::uint64_t top = 0;
-  std::uint64_t threads = 0;  // 0 = hardware concurrency
+  return cli::Main(argc, argv, "flatnet_reach", kUsage, [](cli::Args& args) {
+    std::string stem;
+    std::string rel_file;
+    Asn asn = 0;
+    std::size_t top = 0;
+    std::size_t threads = 0;  // 0 = hardware concurrency
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (arg == "--rel") {
-      const char* v = next();
-      if (!v) return Usage();
-      rel_file = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else if (arg == "--asn") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      asn = *parsed;
-    } else if (arg == "--top") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      top = *parsed;
-    } else if (arg == "--threads") {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return Usage();
-      threads = *parsed;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return Usage();
-    } else {
-      stem = arg;
+    while (args.Next()) {
+      if (args.Is("--rel")) {
+        rel_file = args.Value();
+      } else if (args.Is("--asn")) {
+        asn = args.Unsigned<Asn>();
+      } else if (args.Is("--top")) {
+        top = args.Unsigned<std::size_t>();
+      } else if (args.Is("--threads")) {
+        threads = args.Unsigned<std::size_t>();
+      } else {
+        stem = args.Positional();
+      }
     }
-  }
-  if ((stem.empty() == rel_file.empty()) || (asn == 0 && top == 0)) return Usage();
+    if ((stem.empty() == rel_file.empty()) || (asn == 0 && top == 0)) throw cli::UsageError();
 
-  auto finish = [&](int code) {
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-    return code;
-  };
-
-  Internet internet;
-  try {
+    Internet internet;
     if (!stem.empty()) {
       internet = LoadInternetAuto(stem);
     } else {
@@ -107,51 +72,42 @@ int main(int argc, char** argv) {
                    tiers.tier1.size(), tiers.tier2.size());
       internet = Internet(std::move(graph), std::move(tiers), std::move(metadata));
     }
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_reach: %s\n", e.what());
-    return finish(1);
-  }
-  std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
-               internet.graph().num_edges());
+    std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
+                 internet.graph().num_edges());
 
-  if (asn != 0) {
-    auto id = internet.graph().IdOf(static_cast<Asn>(asn));
-    if (!id) {
-      std::fprintf(stderr, "AS%llu not present in the topology\n",
-                   static_cast<unsigned long long>(asn));
-      return finish(1);
+    if (asn != 0) {
+      AsId id = cli::ResolveAsn(internet, asn);
+      ReachabilitySummary r = AnalyzeReachability(internet, id);
+      double denom = static_cast<double>(internet.num_ases() - 1);
+      std::printf("AS%u%s%s\n", asn, internet.NameOf(id).empty() ? "" : " — ",
+                  internet.NameOf(id).c_str());
+      std::printf("  provider-free  reach(o, I\\Po):        %s (%.1f%%)\n",
+                  WithCommas(r.provider_free).c_str(), 100 * r.provider_free / denom);
+      std::printf("  Tier-1-free    reach(o, I\\Po\\T1):     %s (%.1f%%)\n",
+                  WithCommas(r.tier1_free).c_str(), 100 * r.tier1_free / denom);
+      std::printf("  hierarchy-free reach(o, I\\Po\\T1\\T2):  %s (%.1f%%)\n",
+                  WithCommas(r.hierarchy_free).c_str(), 100 * r.hierarchy_free / denom);
+      return 0;
     }
-    ReachabilitySummary r = AnalyzeReachability(internet, *id);
-    double denom = static_cast<double>(internet.num_ases() - 1);
-    std::printf("AS%llu%s%s\n", static_cast<unsigned long long>(asn),
-                internet.NameOf(*id).empty() ? "" : " — ", internet.NameOf(*id).c_str());
-    std::printf("  provider-free  reach(o, I\\Po):        %s (%.1f%%)\n",
-                WithCommas(r.provider_free).c_str(), 100 * r.provider_free / denom);
-    std::printf("  Tier-1-free    reach(o, I\\Po\\T1):     %s (%.1f%%)\n",
-                WithCommas(r.tier1_free).c_str(), 100 * r.tier1_free / denom);
-    std::printf("  hierarchy-free reach(o, I\\Po\\T1\\T2):  %s (%.1f%%)\n",
-                WithCommas(r.hierarchy_free).c_str(), 100 * r.hierarchy_free / denom);
-    return finish(0);
-  }
 
-  // The sweep's values are identical at any thread count, so the table
-  // below is too.
-  std::vector<std::uint32_t> sweep =
-      sweep::HierarchyFreeSweep(internet, static_cast<std::size_t>(threads));
-  std::vector<AsId> order(internet.num_ases());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](AsId a, AsId b) { return sweep[a] > sweep[b]; });
-  TextTable table;
-  table.AddColumn("#", TextTable::Align::kRight);
-  table.AddColumn("ASN", TextTable::Align::kRight);
-  table.AddColumn("name");
-  table.AddColumn("hierarchy-free", TextTable::Align::kRight);
-  for (std::size_t i = 0; i < top && i < order.size(); ++i) {
-    AsId id = order[i];
-    table.AddRow({std::to_string(i + 1), std::to_string(internet.graph().AsnOf(id)),
-                  internet.NameOf(id), WithCommas(sweep[id])});
-  }
-  table.Print(stdout);
-  return finish(0);
+    // The sweep's values are identical at any thread count, so the table
+    // below is too.
+    std::vector<std::uint32_t> sweep = sweep::HierarchyFreeSweep(internet, threads);
+    std::vector<AsId> order(internet.num_ases());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [&](AsId a, AsId b) { return sweep[a] > sweep[b]; });
+    TextTable table;
+    table.AddColumn("#", TextTable::Align::kRight);
+    table.AddColumn("ASN", TextTable::Align::kRight);
+    table.AddColumn("name");
+    table.AddColumn("hierarchy-free", TextTable::Align::kRight);
+    for (std::size_t i = 0; i < top && i < order.size(); ++i) {
+      AsId id = order[i];
+      table.AddRow({std::to_string(i + 1), std::to_string(internet.graph().AsnOf(id)),
+                    internet.NameOf(id), WithCommas(sweep[id])});
+    }
+    table.Print(stdout);
+    return 0;
+  });
 }

@@ -27,16 +27,13 @@
 // wins.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "cli/cli.h"
 #include "fleet/router.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
-#include "obs/recorder.h"
 #include "serve/server.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -51,125 +48,77 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestShutdown();  // one atomic store
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_router --backends HOST:PORT,HOST:PORT,...\n"
-               "                      [--port P] [--bind ADDR] [--port-file <file>]\n"
-               "                      [--vnodes N] [--probe-interval-ms MS]\n"
-               "                      [--request-timeout-ms MS] [--no-hedging]\n"
-               "                      [--hedge-multiplier X] [--hedge-min-ms MS]\n"
-               "                      [--hedge-max-ms MS] [--max-connections N]\n"
-               "                      [--log-level <level>] [--metrics-out <file>]\n");
-  return 2;
+constexpr char kUsage[] =
+    "usage: flatnet_router --backends HOST:PORT,HOST:PORT,...\n"
+    "                      [--port P] [--bind ADDR] [--port-file <file>]\n"
+    "                      [--vnodes N] [--probe-interval-ms MS]\n"
+    "                      [--request-timeout-ms MS] [--no-hedging]\n"
+    "                      [--hedge-multiplier X] [--hedge-min-ms MS]\n"
+    "                      [--hedge-max-ms MS] [--max-connections N]\n"
+    "                      [--log-level <level>] [--metrics-out <file>]\n";
+
+std::vector<fleet::BackendAddress> ParseBackendList(const std::string& list) {
+  std::vector<fleet::BackendAddress> backends;
+  for (std::string_view part : Split(list, ',')) {
+    if (!part.empty()) backends.push_back(fleet::ParseBackendAddress(std::string(part)));
+  }
+  return backends;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  fleet::RouterOptions router_options;
-  std::string bind_address = "127.0.0.1";
-  std::uint64_t port = 0;
-  std::string port_file;
-  std::string metrics_out;
-  std::uint64_t max_connections = 0;
+  return cli::Main(argc, argv, "flatnet_router", kUsage, [](cli::Args& args) {
+    constexpr double kInfinity = std::numeric_limits<double>::infinity();
+    fleet::RouterOptions router_options;
+    serve::ServerOptions server_options;
+    std::string port_file;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    auto next_double = [&](double* out) {
-      const char* v = next();
-      if (!v) return false;
-      char* end = nullptr;
-      double parsed = std::strtod(v, &end);
-      if (end == v || *end != '\0' || parsed < 0) return false;
-      *out = parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    try {
-      if (arg == "--backends") {
-        const char* v = next();
-        if (!v) return Usage();
-        for (std::string_view part : Split(v, ',')) {
-          if (part.empty()) continue;
-          router_options.backends.push_back(fleet::ParseBackendAddress(std::string(part)));
+    while (args.Next()) {
+      if (args.Is("--backends")) {
+        for (const fleet::BackendAddress& backend : args.Value(ParseBackendList)) {
+          router_options.backends.push_back(backend);
         }
-      } else if (arg == "--backend") {
+      } else if (args.Is("--backend")) {
         // Repeatable single-address form, for scripts that build the list.
-        const char* v = next();
-        if (!v) return Usage();
-        router_options.backends.push_back(fleet::ParseBackendAddress(v));
-      } else if (arg == "--port") {
-        if (!next_u64(&port) || port > 65535) return Usage();
-      } else if (arg == "--bind") {
-        const char* v = next();
-        if (!v) return Usage();
-        bind_address = v;
-      } else if (arg == "--port-file") {
-        const char* v = next();
-        if (!v) return Usage();
-        port_file = v;
-      } else if (arg == "--vnodes") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.vnodes = value;
-      } else if (arg == "--probe-interval-ms") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.probe_interval = std::chrono::milliseconds(value);
-      } else if (arg == "--request-timeout-ms") {
-        if (!next_u64(&value) || value == 0) return Usage();
-        router_options.request_timeout = std::chrono::milliseconds(value);
-      } else if (arg == "--no-hedging") {
+        router_options.backends.push_back(args.Value(fleet::ParseBackendAddress));
+      } else if (args.Is("--port")) {
+        server_options.port = args.Unsigned<std::uint16_t>();
+      } else if (args.Is("--bind")) {
+        server_options.bind_address = args.Value();
+      } else if (args.Is("--port-file")) {
+        port_file = args.Value();
+      } else if (args.Is("--vnodes")) {
+        router_options.vnodes = args.Unsigned<std::size_t>(1);
+      } else if (args.Is("--probe-interval-ms")) {
+        router_options.probe_interval =
+            std::chrono::milliseconds(args.Unsigned<std::chrono::milliseconds::rep>(1));
+      } else if (args.Is("--request-timeout-ms")) {
+        router_options.request_timeout =
+            std::chrono::milliseconds(args.Unsigned<std::chrono::milliseconds::rep>(1));
+      } else if (args.Is("--no-hedging")) {
         router_options.hedging = false;
-      } else if (arg == "--hedge-multiplier") {
-        if (!next_double(&router_options.hedge.multiplier)) return Usage();
-      } else if (arg == "--hedge-min-ms") {
-        if (!next_double(&router_options.hedge.min_ms)) return Usage();
-      } else if (arg == "--hedge-max-ms") {
-        if (!next_double(&router_options.hedge.max_ms)) return Usage();
-      } else if (arg == "--max-connections") {
-        if (!next_u64(&max_connections)) return Usage();
-      } else if (arg == "--log-level") {
-        const char* v = next();
-        auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-        if (!level) return Usage();
-        obs::SetLogLevel(*level);
-      } else if (arg == "--metrics-out") {
-        const char* v = next();
-        if (!v) return Usage();
-        metrics_out = v;
+      } else if (args.Is("--hedge-multiplier")) {
+        router_options.hedge.multiplier = args.Double(0.0, kInfinity);
+      } else if (args.Is("--hedge-min-ms")) {
+        router_options.hedge.min_ms = args.Double(0.0, kInfinity);
+      } else if (args.Is("--hedge-max-ms")) {
+        router_options.hedge.max_ms = args.Double(0.0, kInfinity);
+      } else if (args.Is("--max-connections")) {
+        server_options.max_connections = args.Unsigned<std::size_t>();
       } else {
-        return Usage();
+        args.Unknown();
       }
-    } catch (const Error& e) {
-      std::fprintf(stderr, "%s: %s\n", arg.c_str(), e.what());
-      return Usage();
     }
-  }
-  if (router_options.backends.empty()) {
-    std::fprintf(stderr, "flatnet_router: at least one --backends address is required\n");
-    return Usage();
-  }
+    if (router_options.backends.empty()) {
+      throw cli::UsageError("at least one --backends address is required");
+    }
 
-  obs::RegisterCoreMetrics();
-  obs::InstallCrashHandlerFromEnv();
-
-  try {
     fleet::FleetRouter router(router_options);
     router.Start();
     std::fprintf(stderr, "fleet: %zu shards, %zu live\n", router_options.backends.size(),
                  router.pool().NumAlive());
 
-    serve::ServerOptions server_options;
-    server_options.bind_address = bind_address;
-    server_options.port = static_cast<std::uint16_t>(port);
-    server_options.max_connections = max_connections;
     serve::Server server(
         [&router](const std::string& line, std::function<void(std::string)> done,
                   std::chrono::steady_clock::time_point received_at) {
@@ -180,37 +129,26 @@ int main(int argc, char** argv) {
     if (!port_file.empty()) {
       std::ofstream out(port_file);
       out << server.port() << '\n';
-      if (!out) {
-        std::fprintf(stderr, "cannot write port file %s\n", port_file.c_str());
-        return 1;
-      }
+      if (!out) throw Error("cannot write port file " + port_file);
     }
-    std::printf("routing on %s:%u\n", bind_address.c_str(),
+    std::printf("routing on %s:%u\n", server_options.bind_address.c_str(),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 
     g_server = &server;
     std::signal(SIGTERM, HandleSignal);
     std::signal(SIGINT, HandleSignal);
-    {
-      obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
-      server.Run();
-    }
+    server.Run();
     g_server = nullptr;
     router.Stop();
 
     fleet::RouterStats stats = router.stats();
-    std::printf(
-        "shutdown: %llu requests, %llu errors, %llu hedges (%llu won), %llu partial\n",
-        static_cast<unsigned long long>(stats.requests),
-        static_cast<unsigned long long>(stats.errors),
-        static_cast<unsigned long long>(stats.hedge_issued),
-        static_cast<unsigned long long>(stats.hedge_won),
-        static_cast<unsigned long long>(stats.partial_answers));
-    if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_router: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+    std::printf("shutdown: %llu requests, %llu errors, %llu hedges (%llu won), %llu partial\n",
+                static_cast<unsigned long long>(stats.requests),
+                static_cast<unsigned long long>(stats.errors),
+                static_cast<unsigned long long>(stats.hedge_issued),
+                static_cast<unsigned long long>(stats.hedge_won),
+                static_cast<unsigned long long>(stats.partial_answers));
+    return 0;
+  });
 }

@@ -48,19 +48,19 @@
 // <stem>.fail).
 #include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include <filesystem>
 
+#include "cli/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "core/study.h"
 #include "failsim/store.h"
 #include "leaksim/store.h"
-#include "obs/log.h"
-#include "obs/metrics.h"
 #include "obs/recorder.h"
 #include "serve/server.h"
 #include "sweep/store.h"
@@ -77,19 +77,81 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestShutdown();  // one atomic store
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: flatnet_serve [--topology <stem>] [--era 2015|2020] [--ases N] "
-               "[--seed S]\n"
-               "                     [--port P] [--bind ADDR] [--port-file <file>]\n"
-               "                     [--threads N] [--cache-mb MB] [--max-inflight N]\n"
-               "                     [--default-deadline-ms MS] [--sweep <file>] "
-               "[--leak <file>]\n"
-               "                     [--fail <file>] [--log-level <level>] "
-               "[--metrics-out <file>]\n"
-               "                     [--slow-query-ms MS] [--recorder-dump <file>]\n"
-               "                     [--shard I/N] [--max-connections N]\n");
-  return 2;
+constexpr char kUsage[] =
+    "usage: flatnet_serve [--topology <stem>] [--era 2015|2020] [--ases N] "
+    "[--seed S]\n"
+    "                     [--port P] [--bind ADDR] [--port-file <file>]\n"
+    "                     [--threads N] [--cache-mb MB] [--max-inflight N]\n"
+    "                     [--default-deadline-ms MS] [--sweep <file>] "
+    "[--leak <file>]\n"
+    "                     [--fail <file>] [--log-level <level>] "
+    "[--metrics-out <file>]\n"
+    "                     [--slow-query-ms MS] [--recorder-dump <file>]\n"
+    "                     [--shard I/N] [--max-connections N]\n";
+
+void AttachSweep(serve::Dispatcher& dispatcher, const std::string& path) {
+  dispatcher.AttachSweepStore(sweep::SweepStore::Load(path), path);
+}
+
+void AttachLeak(serve::Dispatcher& dispatcher, const std::string& path) {
+  dispatcher.AttachLeakStore(leaksim::LeakStore::Load(path), path);
+}
+
+void AttachFail(serve::Dispatcher& dispatcher, const std::string& path) {
+  dispatcher.AttachFailStore(failsim::FailStore::Load(path), path);
+}
+
+// --shard I/N, e.g. 0/3: this process is shard I of an N-shard fleet. The
+// ring holds shard ids in 32 bits.
+void ParseShard(const std::string& value, serve::DispatcherOptions* dispatch) {
+  std::size_t slash = value.find('/');
+  if (slash == std::string::npos) throw cli::UsageError("--shard: expected I/N");
+  std::string_view text = value;
+  auto count = cli::ParseUnsigned<std::uint32_t>(text.substr(slash + 1), "--shard count", 1);
+  auto index = cli::ParseUnsigned<std::uint32_t>(text.substr(0, slash), "--shard index");
+  if (index >= count) throw cli::UsageError("--shard: the index must be below the count");
+  dispatch->shard_index = index;
+  dispatch->shard_count = count;
+}
+
+// A result store the dispatcher can serve from: `<stem>.<kind>` is its
+// implicit path, `ops` what attaching it enables.
+struct StoreSlot {
+  const char* kind;
+  const char* ops;
+  void (*attach)(serve::Dispatcher& dispatcher, const std::string& path);
+};
+
+constexpr StoreSlot kStores[] = {
+    {"sweep", "top op", AttachSweep},
+    {"leak", "leakdist op", AttachLeak},
+    {"fail", "hegemony + failure ops", AttachFail},
+};
+
+// Attaches each store. An explicit --sweep/--leak/--fail path must attach
+// (a load or fingerprint failure is fatal); an implicit <stem>.<kind> is
+// opportunistic (a store from an older topology just logs and is skipped).
+void AttachStores(serve::Dispatcher& dispatcher, const std::string& stem,
+                  const std::string (&explicit_paths)[std::size(kStores)]) {
+  for (std::size_t i = 0; i < std::size(kStores); ++i) {
+    const StoreSlot& store = kStores[i];
+    std::string path = explicit_paths[i];
+    bool is_explicit = !path.empty();
+    if (!is_explicit && !stem.empty()) {
+      std::string candidate = stem + "." + store.kind;
+      if (std::filesystem::exists(candidate)) path = candidate;
+    }
+    if (path.empty()) continue;
+    try {
+      store.attach(dispatcher, path);
+      std::fprintf(stderr, "%s store: %s (%s enabled)\n", store.kind, path.c_str(), store.ops);
+    } catch (const Error& e) {
+      if (is_explicit) {
+        throw Error(StrFormat("cannot attach %s store: %s", store.kind, e.what()));
+      }
+      std::fprintf(stderr, "ignoring %s store %s: %s\n", store.kind, path.c_str(), e.what());
+    }
+  }
 }
 
 Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::uint32_t ases,
@@ -128,229 +190,95 @@ Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::ui
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string stem;
-  std::string era = "2020";
-  std::uint32_t ases = 0;
-  std::uint64_t seed = 0;
-  std::string bind_address = "127.0.0.1";
-  std::uint64_t port = 0;
-  std::string port_file;
-  std::string metrics_out;
-  std::string recorder_dump;
-  std::string sweep_path;
-  std::string leak_path;
-  std::string fail_path;
-  std::uint64_t max_connections = 0;
-  serve::DispatcherOptions dispatch;
+  return cli::Main(argc, argv, "flatnet_serve", kUsage, [](cli::Args& args) {
+    std::string stem;
+    std::string era = "2020";
+    std::uint32_t ases = 0;
+    std::uint64_t seed = 0;
+    std::string port_file;
+    std::string recorder_dump;
+    std::string store_paths[std::size(kStores)];  // --sweep, --leak, --fail
+    serve::ServerOptions server_options;
+    serve::DispatcherOptions dispatch;
 
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    auto next_u64 = [&](std::uint64_t* out) {
-      const char* v = next();
-      auto parsed = v ? ParseU64(v) : std::nullopt;
-      if (!parsed) return false;
-      *out = *parsed;
-      return true;
-    };
-    std::uint64_t value = 0;
-    if (arg == "--topology") {
-      const char* v = next();
-      if (!v) return Usage();
-      stem = v;
-    } else if (arg == "--era") {
-      const char* v = next();
-      if (!v || (std::strcmp(v, "2015") != 0 && std::strcmp(v, "2020") != 0)) return Usage();
-      era = v;
-    } else if (arg == "--ases") {
-      if (!next_u64(&value)) return Usage();
-      ases = static_cast<std::uint32_t>(value);
-    } else if (arg == "--seed") {
-      if (!next_u64(&seed)) return Usage();
-    } else if (arg == "--port") {
-      if (!next_u64(&port) || port > 65535) return Usage();
-    } else if (arg == "--bind") {
-      const char* v = next();
-      if (!v) return Usage();
-      bind_address = v;
-    } else if (arg == "--port-file") {
-      const char* v = next();
-      if (!v) return Usage();
-      port_file = v;
-    } else if (arg == "--threads") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.threads = value;
-    } else if (arg == "--cache-mb") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.cache_bytes = value * 1024 * 1024;
-    } else if (arg == "--max-inflight") {
-      if (!next_u64(&value) || value == 0) return Usage();
-      dispatch.max_inflight = value;
-    } else if (arg == "--default-deadline-ms") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.default_deadline_ms = static_cast<std::int64_t>(value);
-    } else if (arg == "--slow-query-ms") {
-      if (!next_u64(&value)) return Usage();
-      dispatch.slow_query_ms = static_cast<std::int64_t>(value);
-    } else if (arg == "--shard") {
-      // I/N, e.g. --shard 0/3: shard index / fleet size.
-      const char* v = next();
-      if (!v) return Usage();
-      const char* slash = std::strchr(v, '/');
-      if (!slash) return Usage();
-      auto index = ParseU64(std::string(v, slash));
-      auto count = ParseU64(slash + 1);
-      if (!index || !count || *count == 0 || *index >= *count) return Usage();
-      dispatch.shard_index = *index;
-      dispatch.shard_count = *count;
-    } else if (arg == "--max-connections") {
-      if (!next_u64(&max_connections)) return Usage();
-    } else if (arg == "--recorder-dump") {
-      const char* v = next();
-      if (!v) return Usage();
-      recorder_dump = v;
-    } else if (arg == "--sweep") {
-      const char* v = next();
-      if (!v) return Usage();
-      sweep_path = v;
-    } else if (arg == "--leak") {
-      const char* v = next();
-      if (!v) return Usage();
-      leak_path = v;
-    } else if (arg == "--fail") {
-      const char* v = next();
-      if (!v) return Usage();
-      fail_path = v;
-    } else if (arg == "--log-level") {
-      const char* v = next();
-      auto level = v ? obs::ParseLogLevel(v) : std::nullopt;
-      if (!level) return Usage();
-      obs::SetLogLevel(*level);
-    } else if (arg == "--metrics-out") {
-      const char* v = next();
-      if (!v) return Usage();
-      metrics_out = v;
-    } else {
-      return Usage();
-    }
-  }
-
-  obs::RegisterCoreMetrics();
-  if (!recorder_dump.empty()) {
-    // The flag copy must outlive the process: the handler reads it at
-    // crash time. InstallCrashHandler copies into static storage.
-    obs::InstallCrashHandler(recorder_dump);
-  } else {
-    obs::InstallCrashHandlerFromEnv();
-  }
-  Internet internet;
-  try {
-    internet = LoadOrGenerate(stem, era, ases, seed);
-  } catch (const Error& e) {
-    std::fprintf(stderr, "flatnet_serve: %s\n", e.what());
-    return 1;
-  }
-  std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
-               internet.graph().num_edges());
-
-  serve::Dispatcher dispatcher(internet, dispatch);
-
-  // Explicit --sweep must attach; an implicit <stem>.sweep is opportunistic
-  // (a store from an older topology just logs and is skipped).
-  bool explicit_sweep = !sweep_path.empty();
-  if (!explicit_sweep && !stem.empty()) {
-    std::string candidate = stem + ".sweep";
-    if (std::filesystem::exists(candidate)) sweep_path = candidate;
-  }
-  if (!sweep_path.empty()) {
-    try {
-      dispatcher.AttachSweepStore(sweep::SweepStore::Load(sweep_path), sweep_path);
-      std::fprintf(stderr, "sweep store: %s (top op enabled)\n", sweep_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_sweep) {
-        std::fprintf(stderr, "cannot attach sweep store: %s\n", e.what());
-        return 1;
+    while (args.Next()) {
+      if (args.Is("--topology")) {
+        stem = args.Value();
+      } else if (args.Is("--era")) {
+        era = args.Choice({"2015", "2020"}) == 0 ? "2015" : "2020";
+      } else if (args.Is("--ases")) {
+        ases = args.Unsigned<std::uint32_t>();
+      } else if (args.Is("--seed")) {
+        seed = args.Unsigned<std::uint64_t>();
+      } else if (args.Is("--port")) {
+        server_options.port = args.Unsigned<std::uint16_t>();
+      } else if (args.Is("--bind")) {
+        server_options.bind_address = args.Value();
+      } else if (args.Is("--port-file")) {
+        port_file = args.Value();
+      } else if (args.Is("--threads")) {
+        dispatch.threads = args.Unsigned<std::size_t>();
+      } else if (args.Is("--cache-mb")) {
+        // Scaled to bytes, so the MB count must not overflow.
+        dispatch.cache_bytes =
+            args.Unsigned<std::size_t>(0, std::numeric_limits<std::size_t>::max() >> 20) << 20;
+      } else if (args.Is("--max-inflight")) {
+        dispatch.max_inflight = args.Unsigned<std::size_t>(1);
+      } else if (args.Is("--default-deadline-ms")) {
+        dispatch.default_deadline_ms = args.Unsigned<std::int64_t>();
+      } else if (args.Is("--slow-query-ms")) {
+        dispatch.slow_query_ms = args.Unsigned<std::int64_t>();
+      } else if (args.Is("--shard")) {
+        ParseShard(args.Value(), &dispatch);
+      } else if (args.Is("--max-connections")) {
+        server_options.max_connections = args.Unsigned<std::size_t>();
+      } else if (args.Is("--recorder-dump")) {
+        recorder_dump = args.Value();
+      } else if (args.Is("--sweep")) {
+        store_paths[0] = args.Value();
+      } else if (args.Is("--leak")) {
+        store_paths[1] = args.Value();
+      } else if (args.Is("--fail")) {
+        store_paths[2] = args.Value();
+      } else {
+        args.Unknown();
       }
-      std::fprintf(stderr, "ignoring sweep store %s: %s\n", sweep_path.c_str(), e.what());
     }
-  }
 
-  // Same contract for the leak-campaign store: explicit --leak is fatal on
-  // failure, the implicit <stem>.leak candidate is opportunistic.
-  bool explicit_leak = !leak_path.empty();
-  if (!explicit_leak && !stem.empty()) {
-    std::string candidate = stem + ".leak";
-    if (std::filesystem::exists(candidate)) leak_path = candidate;
-  }
-  if (!leak_path.empty()) {
-    try {
-      dispatcher.AttachLeakStore(leaksim::LeakStore::Load(leak_path), leak_path);
-      std::fprintf(stderr, "leak store: %s (leakdist op enabled)\n", leak_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_leak) {
-        std::fprintf(stderr, "cannot attach leak store: %s\n", e.what());
-        return 1;
-      }
-      std::fprintf(stderr, "ignoring leak store %s: %s\n", leak_path.c_str(), e.what());
+    if (!recorder_dump.empty()) {
+      // Overrides FLATNET_RECORDER_DUMP. The handler reads the path at
+      // crash time; InstallCrashHandler copies it into static storage.
+      obs::InstallCrashHandler(recorder_dump);
     }
-  }
+    Internet internet = LoadOrGenerate(stem, era, ases, seed);
+    std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
+                 internet.graph().num_edges());
 
-  // And for the failure-campaign store: explicit --fail is fatal on
-  // failure, the implicit <stem>.fail candidate is opportunistic.
-  bool explicit_fail = !fail_path.empty();
-  if (!explicit_fail && !stem.empty()) {
-    std::string candidate = stem + ".fail";
-    if (std::filesystem::exists(candidate)) fail_path = candidate;
-  }
-  if (!fail_path.empty()) {
-    try {
-      dispatcher.AttachFailStore(failsim::FailStore::Load(fail_path), fail_path);
-      std::fprintf(stderr, "fail store: %s (hegemony + failure ops enabled)\n",
-                   fail_path.c_str());
-    } catch (const Error& e) {
-      if (explicit_fail) {
-        std::fprintf(stderr, "cannot attach fail store: %s\n", e.what());
-        return 1;
-      }
-      std::fprintf(stderr, "ignoring fail store %s: %s\n", fail_path.c_str(), e.what());
+    serve::Dispatcher dispatcher(internet, dispatch);
+    AttachStores(dispatcher, stem, store_paths);
+
+    serve::Server server(dispatcher, server_options);
+    if (!port_file.empty()) {
+      std::ofstream out(port_file);
+      out << server.port() << '\n';
+      if (!out) throw Error("cannot write port file " + port_file);
     }
-  }
+    std::printf("listening on %s:%u\n", server_options.bind_address.c_str(),
+                static_cast<unsigned>(server.port()));
+    std::fflush(stdout);
 
-  serve::ServerOptions server_options;
-  server_options.bind_address = bind_address;
-  server_options.port = static_cast<std::uint16_t>(port);
-  server_options.max_connections = max_connections;
-  serve::Server server(dispatcher, server_options);
-
-  if (!port_file.empty()) {
-    std::ofstream out(port_file);
-    out << server.port() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "cannot write port file %s\n", port_file.c_str());
-      return 1;
-    }
-  }
-  std::printf("listening on %s:%u\n", bind_address.c_str(),
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);
-
-  g_server = &server;
-  std::signal(SIGTERM, HandleSignal);
-  std::signal(SIGINT, HandleSignal);
-  {
-    // Republishes --metrics-out on the FLATNET_METRICS_INTERVAL cadence
-    // while the server runs; a no-op when either is unset.
-    obs::MetricsFlusher flusher(metrics_out, obs::MetricsFlusher::IntervalFromEnv());
+    g_server = &server;
+    std::signal(SIGTERM, HandleSignal);
+    std::signal(SIGINT, HandleSignal);
     server.Run();
-  }
-  g_server = nullptr;
+    g_server = nullptr;
 
-  serve::CacheStats cache = dispatcher.cache_stats();
-  std::printf("shutdown: cache %llu hits / %llu misses / %llu evictions, %llu entries\n",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses),
-              static_cast<unsigned long long>(cache.evictions),
-              static_cast<unsigned long long>(cache.entries));
-  if (!metrics_out.empty()) obs::WriteMetricsFile(metrics_out);
-  return 0;
+    serve::CacheStats cache = dispatcher.cache_stats();
+    std::printf("shutdown: cache %llu hits / %llu misses / %llu evictions, %llu entries\n",
+                static_cast<unsigned long long>(cache.hits),
+                static_cast<unsigned long long>(cache.misses),
+                static_cast<unsigned long long>(cache.evictions),
+                static_cast<unsigned long long>(cache.entries));
+    return 0;
+  });
 }
