@@ -25,9 +25,7 @@ int main() {
                      "extension of §4.4 / §11 (future work)");
 
   // Baseline study: the paper's setup — no VMs inside Facebook.
-  StudyOptions base;
-  base.generator = GeneratorParams::Era2020();
-  base.campaign.seed = base.generator.seed ^ 0xca3;
+  StudyOptions base = EraStudyOptions(/*era2020=*/true);
 
   // Extended study: identical world, but Facebook hosts 10 measurement VMs.
   StudyOptions extended = base;

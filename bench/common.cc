@@ -7,7 +7,7 @@
 #include <filesystem>
 #include <memory>
 
-#include "core/serialize.h"
+#include "core/graph_store.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,12 +29,7 @@ bool EnvFlag(const char* name) {
   return v == "1" || v == "true" || v == "on" || v == "yes";
 }
 
-std::string CacheStem(const char* era, std::uint32_t total_ases) {
-  std::filesystem::create_directories("flatnet_cache");
-  return StrFormat("flatnet_cache/%s-n%u", era, total_ases);
-}
-
-// Size and age of the cache's relationship file, for provenance logs.
+// Size and age of the cache file, for provenance logs.
 void DescribeCacheFile(const std::string& path, std::uintmax_t* size, double* age_seconds) {
   std::error_code ec;
   *size = std::filesystem::file_size(path, ec);
@@ -52,11 +47,8 @@ void DescribeCacheFile(const std::string& path, std::uintmax_t* size, double* ag
 
 std::unique_ptr<Study> BuildStudy(bool era2020) {
   obs::TraceSpan span("bench.build_study");
-  StudyOptions options;
-  options.generator = era2020 ? GeneratorParams::Era2020() : GeneratorParams::Era2015();
-  options.campaign.seed = options.generator.seed ^ 0xca3;
   Stopwatch sw;
-  auto study = std::make_unique<Study>(options);
+  auto study = std::make_unique<Study>(EraStudyOptions(era2020));
   obs::GetHistogram("bench.build_seconds", {1.0, 5.0, 15.0, 60.0, 300.0})
       .Observe(sw.ElapsedSeconds());
   std::fprintf(stderr, "[bench] built %s study: %zu ASes, %zu traces, %.1fs\n",
@@ -65,34 +57,38 @@ std::unique_ptr<Study> BuildStudy(bool era2020) {
   return study;
 }
 
+// The analysis topology of the era's study, cached as a `.graph` store:
+// it round-trips bit for bit, so a warm run computes on exactly the
+// topology a cold run built, and the file equals `flatnet_gen --era <era>
+// --ases <N> --graph-out` for the same size.
 const Internet& CachedInternet(bool era2020) {
   static std::unique_ptr<Internet> cached2020;
   static std::unique_ptr<Internet> cached2015;
   auto& slot = era2020 ? cached2020 : cached2015;
   if (slot) return *slot;
 
-  const char* era = era2020 ? "era2020" : "era2015";
-  GeneratorParams params = era2020 ? GeneratorParams::Era2020() : GeneratorParams::Era2015();
-  std::string stem = CacheStem(era, params.total_ases);
-  std::string rel_file = stem + ".as-rel.txt";
-  if (InternetCacheExists(stem)) {
+  std::uint32_t total_ases = EraStudyOptions(era2020).generator.total_ases;
+  std::string key = StrFormat("%s-n%u", era2020 ? "era2020" : "era2015", total_ases);
+  std::filesystem::create_directories("flatnet_cache");
+  std::string path = "flatnet_cache/" + key + ".graph";
+  if (std::filesystem::exists(path)) {
     Stopwatch sw;
     std::uintmax_t size = 0;
     double age_seconds = 0.0;
-    DescribeCacheFile(rel_file, &size, &age_seconds);
+    DescribeCacheFile(path, &size, &age_seconds);
     try {
-      auto loaded = std::make_unique<Internet>(LoadInternet(stem));
-      // A truncated file can still parse as a smaller-but-valid topology;
-      // the stem encodes the expected AS count, so verify it round-trips.
-      if (loaded->num_ases() != params.total_ases) {
-        throw Error(StrFormat("cache %s: expected %u ASes, loaded %zu", stem.c_str(),
-                              params.total_ases, loaded->num_ases()));
+      auto loaded = std::make_unique<Internet>(LoadInternetBinary(path));
+      // The file name encodes the expected AS count; a store published
+      // under the wrong name must not pass for this era's topology.
+      if (loaded->num_ases() != total_ases) {
+        throw Error(StrFormat("cache %s: expected %u ASes, loaded %zu", path.c_str(),
+                              total_ases, loaded->num_ases()));
       }
       slot = std::move(loaded);
       obs::GetCounter("cache.hit").Increment();
       obs::Log(obs::LogLevel::kInfo, "bench", "cache.load")
-          .Kv("key", stem)
-          .Kv("file", rel_file)
+          .Kv("key", key)
+          .Kv("file", path)
           .Kv("bytes", static_cast<std::uint64_t>(size))
           .Kv("age_s", age_seconds)
           .Kv("result", "hit")
@@ -103,36 +99,34 @@ const Internet& CachedInternet(bool era2020) {
       // rebuild from the generator.
       obs::GetCounter("cache.corrupt").Increment();
       obs::Log(obs::LogLevel::kWarn, "bench", "cache.corrupt")
-          .Kv("key", stem)
-          .Kv("file", rel_file)
+          .Kv("key", key)
+          .Kv("file", path)
           .Kv("bytes", static_cast<std::uint64_t>(size))
           .Kv("error", e.what());
     }
   } else {
     obs::Log(obs::LogLevel::kInfo, "bench", "cache.load")
-        .Kv("key", stem)
-        .Kv("file", rel_file)
+        .Kv("key", key)
+        .Kv("file", path)
         .Kv("result", "miss");
   }
   obs::GetCounter("cache.miss").Increment();
   auto study = BuildStudy(era2020);
   slot = std::make_unique<Internet>(study->internet());
-  // SaveInternet publishes atomically (tmp + rename); a store failure is
-  // non-fatal here — the cache is an optimization — and a racing reader
-  // that catches a stale rel/meta pairing falls back to the corrupt-rebuild
-  // path above.
+  // SaveInternetBinary publishes atomically (tmp + rename); a store failure
+  // is non-fatal here — the cache is an optimization.
   try {
-    SaveInternet(*slot, stem);
+    SaveInternetBinary(*slot, path);
     std::uintmax_t size = 0;
     double age_seconds = 0.0;
-    DescribeCacheFile(rel_file, &size, &age_seconds);
+    DescribeCacheFile(path, &size, &age_seconds);
     obs::Log(obs::LogLevel::kInfo, "bench", "cache.store")
-        .Kv("key", stem)
-        .Kv("file", rel_file)
+        .Kv("key", key)
+        .Kv("file", path)
         .Kv("bytes", static_cast<std::uint64_t>(size));
   } catch (const Error& e) {
     obs::Log(obs::LogLevel::kWarn, "bench", "cache.store_failed")
-        .Kv("key", stem)
+        .Kv("key", key)
         .Kv("error", e.what());
   }
   return *slot;

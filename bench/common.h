@@ -14,9 +14,9 @@
 
 namespace flatnet::bench {
 
-// Builds (or loads from the on-disk cache under ./flatnet_cache/) the
-// analysis topology for an era. The cache key includes the AS count so
-// changing FLATNET_SCALE rebuilds.
+// Builds (or loads from the on-disk `.graph` cache under ./flatnet_cache/)
+// the analysis topology for an era. The cache key includes the AS count
+// so changing FLATNET_SCALE rebuilds.
 const Internet& Internet2020();
 const Internet& Internet2015();
 

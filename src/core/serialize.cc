@@ -51,11 +51,10 @@ void WriteFiles(const Internet& internet, const std::string& stem) {
 
 void SaveInternet(const Internet& internet, const std::string& stem) {
   // Atomic publish: both files are written to a pid-unique tmp sibling and
-  // renamed into place, so concurrent writers (parallel benches under
-  // `ctest -j`, a serve daemon racing a generator) can never co-author or
-  // observe a half-written pair. rename(2) within a directory replaces
-  // atomically; a reader can still catch a stale rel/meta pairing between
-  // the two renames, which callers treat as a corrupt cache and rebuild.
+  // renamed into place, so concurrent writers of one stem can never
+  // co-author or observe a half-written file. rename(2) within a directory
+  // replaces atomically; a reader can still catch a stale rel/meta pairing
+  // between the two renames.
   std::string tmp_stem = StrFormat("%s.tmp%d", stem.c_str(), static_cast<int>(::getpid()));
   try {
     WriteFiles(internet, tmp_stem);
@@ -122,10 +121,6 @@ Internet LoadInternet(const std::string& stem) {
   }
   TierSets tiers = MakeTierSets(graph, tier1, tier2);
   return Internet(std::move(graph), std::move(tiers), std::move(metadata));
-}
-
-bool InternetCacheExists(const std::string& stem) {
-  return std::filesystem::exists(RelPath(stem)) && std::filesystem::exists(MetaPath(stem));
 }
 
 }  // namespace flatnet

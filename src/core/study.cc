@@ -2,6 +2,14 @@
 
 namespace flatnet {
 
+StudyOptions EraStudyOptions(bool era2020, std::uint32_t ases, std::uint64_t seed) {
+  StudyOptions options;
+  options.generator = era2020 ? GeneratorParams::Era2020(ases) : GeneratorParams::Era2015(ases);
+  if (seed != 0) options.generator.seed = seed;
+  options.campaign.seed = options.generator.seed ^ 0xca3;
+  return options;
+}
+
 Study::Study(const StudyOptions& options)
     : world_(GenerateWorld(options.generator)),
       plan_(std::make_unique<AddressPlan>(world_, options.generator.seed ^ 0xaddf00d)),

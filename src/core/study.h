@@ -11,6 +11,7 @@
 #ifndef FLATNET_CORE_STUDY_H_
 #define FLATNET_CORE_STUDY_H_
 
+#include <cstdint>
 #include <memory>
 #include <set>
 #include <vector>
@@ -27,6 +28,13 @@ struct StudyOptions {
   CampaignOptions campaign;
   MethodologyStage stage = MethodologyStage::kV3Final;
 };
+
+// The era recipe every tool and bench builds its topology from: the
+// Era2015 or Era2020 preset (`ases` = 0 keeps the FLATNET_SCALE-scaled
+// count), the preset's seed unless `seed` is nonzero, and a campaign seed
+// derived from the generator's. Equal arguments give equal topologies, so
+// a cached `.graph` matches `flatnet_gen --graph-out` for the same era.
+StudyOptions EraStudyOptions(bool era2020, std::uint32_t ases = 0, std::uint64_t seed = 0);
 
 struct CloudPeerCounts {
   std::string name;

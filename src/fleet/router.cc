@@ -72,7 +72,14 @@ void FleetRouter::Start() {
 }
 
 void FleetRouter::Stop() {
-  bool was_stopped = stop_.exchange(true, std::memory_order_relaxed);
+  bool was_stopped = false;
+  {
+    // Set the flag under the prober's mutex: a prober between its
+    // predicate check and its wait would otherwise miss the notify and
+    // sleep out a whole probe interval before the join returns.
+    std::lock_guard<std::mutex> lock(prober_mu_);
+    was_stopped = stop_.exchange(true, std::memory_order_relaxed);
+  }
   prober_cv_.notify_all();
   if (!was_stopped && prober_.joinable()) prober_.join();
 }

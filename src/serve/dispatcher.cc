@@ -1,6 +1,7 @@
 #include "serve/dispatcher.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <condition_variable>
 #include <memory>
@@ -37,54 +38,27 @@ ServeCounters& Counters() {
   return counters;
 }
 
-obs::Histogram& LatencyHistogram(QueryKind kind) {
-  static const std::vector<double> bounds{0.1,  0.3,   1.0,   3.0,    10.0,
-                                          30.0, 100.0, 300.0, 1000.0, 3000.0};
-  static obs::Histogram* histograms[kNumQueryKinds] = {
-      &obs::GetHistogram("serve.reach.latency_ms", bounds),
-      &obs::GetHistogram("serve.reliance.latency_ms", bounds),
-      &obs::GetHistogram("serve.leak.latency_ms", bounds),
-      &obs::GetHistogram("serve.status.latency_ms", bounds),
-      &obs::GetHistogram("serve.top.latency_ms", bounds),
-      &obs::GetHistogram("serve.leakdist.latency_ms", bounds),
-      &obs::GetHistogram("serve.metrics.latency_ms", bounds),
-      &obs::GetHistogram("serve.debug.latency_ms", bounds),
-      &obs::GetHistogram("serve.hegemony.latency_ms", bounds),
-      &obs::GetHistogram("serve.failure.latency_ms", bounds),
-  };
-  return *histograms[static_cast<std::size_t>(kind)];
-}
+// Each op's serve.<op>.requests / .errors / .latency_ms, registered
+// together on first use.
+struct OpMetrics {
+  obs::Counter* requests;
+  obs::Counter* errors;
+  obs::Histogram* latency;
+};
 
-obs::Counter& OpRequests(QueryKind kind) {
-  static obs::Counter* counters[kNumQueryKinds] = {
-      &obs::GetCounter("serve.reach.requests"),
-      &obs::GetCounter("serve.reliance.requests"),
-      &obs::GetCounter("serve.leak.requests"),
-      &obs::GetCounter("serve.status.requests"),
-      &obs::GetCounter("serve.top.requests"),
-      &obs::GetCounter("serve.leakdist.requests"),
-      &obs::GetCounter("serve.metrics.requests"),
-      &obs::GetCounter("serve.debug.requests"),
-      &obs::GetCounter("serve.hegemony.requests"),
-      &obs::GetCounter("serve.failure.requests"),
-  };
-  return *counters[static_cast<std::size_t>(kind)];
-}
-
-obs::Counter& OpErrors(QueryKind kind) {
-  static obs::Counter* counters[kNumQueryKinds] = {
-      &obs::GetCounter("serve.reach.errors"),
-      &obs::GetCounter("serve.reliance.errors"),
-      &obs::GetCounter("serve.leak.errors"),
-      &obs::GetCounter("serve.status.errors"),
-      &obs::GetCounter("serve.top.errors"),
-      &obs::GetCounter("serve.leakdist.errors"),
-      &obs::GetCounter("serve.metrics.errors"),
-      &obs::GetCounter("serve.debug.errors"),
-      &obs::GetCounter("serve.hegemony.errors"),
-      &obs::GetCounter("serve.failure.errors"),
-  };
-  return *counters[static_cast<std::size_t>(kind)];
+const OpMetrics& MetricsOf(QueryKind kind) {
+  static const std::array<OpMetrics, kNumQueryKinds> table = [] {
+    const std::vector<double> bounds{0.1,  0.3,   1.0,   3.0,    10.0,
+                                     30.0, 100.0, 300.0, 1000.0, 3000.0};
+    std::array<OpMetrics, kNumQueryKinds> ops{};
+    for (std::size_t i = 0; i < kNumQueryKinds; ++i) {
+      std::string prefix = StrFormat("serve.%s.", ToString(static_cast<QueryKind>(i)));
+      ops[i] = {&obs::GetCounter(prefix + "requests"), &obs::GetCounter(prefix + "errors"),
+                &obs::GetHistogram(prefix + "latency_ms", bounds)};
+    }
+    return ops;
+  }();
+  return table[static_cast<std::size_t>(kind)];
 }
 
 // FLATNET_SLOW_QUERY_MS: non-negative integer milliseconds; unset or
@@ -119,6 +93,24 @@ double SortedQuantile(const std::vector<double>& sorted, double q) {
       static_cast<std::size_t>(std::ceil(q * static_cast<double>(sorted.size())));
   if (rank == 0) rank = 1;
   return sorted[rank - 1];
+}
+
+// Sets the `mean` and `quantiles` a distribution op (leakdist, failure)
+// answers with: the requested quantiles of `sorted`, or p50/p90/p99 when
+// the request named none.
+void SetDistribution(const std::vector<double>& sorted, const std::vector<double>& requested,
+                     Json& result) {
+  static const std::vector<double> kDefaultQuantiles{0.5, 0.9, 0.99};
+  Json quantiles = Json::MakeArray();
+  for (double q : requested.empty() ? kDefaultQuantiles : requested) {
+    Json entry = Json::MakeObject();
+    entry["q"] = q;
+    entry["value"] = SortedQuantile(sorted, q);
+    quantiles.Append(std::move(entry));
+  }
+  double sum = std::accumulate(sorted.begin(), sorted.end(), 0.0);
+  result["mean"] = sorted.empty() ? 0.0 : sum / static_cast<double>(sorted.size());
+  result["quantiles"] = std::move(quantiles);
 }
 
 double MillisSince(std::chrono::steady_clock::time_point t0) {
@@ -317,7 +309,7 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
     done(ErrorResponse(id, e.code(), e.what()));
     return;
   }
-  OpRequests(request.kind).Increment();
+  MetricsOf(request.kind).requests->Increment();
 
   // Tracing is paid only when asked for — by this request (`timing`) or by
   // an armed slow-query threshold. Otherwise a request's total tracing
@@ -352,10 +344,10 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
       Respond(request, id, result, false, trace.get(), done);
     } catch (const ProtocolError& e) {
       Counters().errors.Increment();
-      OpErrors(request.kind).Increment();
+      MetricsOf(request.kind).errors->Increment();
       done(ErrorResponse(id, e.code(), e.what()));
     }
-    LatencyHistogram(request.kind).Observe(MillisSince(t0));
+    MetricsOf(request.kind).latency->Observe(MillisSince(t0));
     return;
   }
 
@@ -363,7 +355,7 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
   if (auto hit = cache_.Get(key)) {
     if (trace != nullptr) trace->Mark("cache_probe");
     Respond(request, id, *hit, true, trace.get(), done);
-    LatencyHistogram(request.kind).Observe(MillisSince(t0));
+    MetricsOf(request.kind).latency->Observe(MillisSince(t0));
     return;
   }
   if (trace != nullptr) trace->Mark("cache_probe");
@@ -394,16 +386,16 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
     } catch (const CancelledError&) {
       Counters().deadline_exceeded.Increment();
       Counters().errors.Increment();
-      OpErrors(request.kind).Increment();
+      MetricsOf(request.kind).errors->Increment();
       response = ErrorResponse(id, ErrorCode::kDeadlineExceeded,
                                "query abandoned past its deadline");
     } catch (const ProtocolError& e) {
       Counters().errors.Increment();
-      OpErrors(request.kind).Increment();
+      MetricsOf(request.kind).errors->Increment();
       response = ErrorResponse(id, e.code(), e.what());
     } catch (const Error& e) {
       Counters().errors.Increment();
-      OpErrors(request.kind).Increment();
+      MetricsOf(request.kind).errors->Increment();
       obs::Log(obs::LogLevel::kError, "serve", "query.internal_error")
           .Kv("op", ToString(request.kind))
           .Kv("error", e.what());
@@ -411,7 +403,7 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
     }
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     Counters().inflight.Set(inflight_.load(std::memory_order_relaxed));
-    LatencyHistogram(request.kind).Observe(MillisSince(t0));
+    MetricsOf(request.kind).latency->Observe(MillisSince(t0));
     if (!respond_ok) done(response);
   };
   if (!pool_.TrySubmit(std::move(job), options_.max_inflight)) {
@@ -419,7 +411,7 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
     Counters().inflight.Set(inflight_.load(std::memory_order_relaxed));
     Counters().overloaded.Increment();
     Counters().errors.Increment();
-    OpErrors(request.kind).Increment();
+    MetricsOf(request.kind).errors->Increment();
     done(ErrorResponse(id, ErrorCode::kOverloaded,
                        StrFormat("at the admission high-water mark (%zu queries in flight)",
                                  options_.max_inflight)));
@@ -480,13 +472,7 @@ std::string Dispatcher::Execute(const Request& request, const CancelToken* cance
     case QueryKind::kReach: return ExecuteReach(request, cancel, trace);
     case QueryKind::kReliance: return ExecuteReliance(request, cancel, trace);
     case QueryKind::kLeak: return ExecuteLeak(request, cancel, trace);
-    case QueryKind::kTop: return ExecuteTop(request);
-    case QueryKind::kLeakDist: return ExecuteLeakDist(request);
-    case QueryKind::kMetrics: return ExecuteMetrics(request);
-    case QueryKind::kDebug: return ExecuteDebug(request);
-    case QueryKind::kHegemony: return ExecuteHegemony(request);
-    case QueryKind::kFailure: return ExecuteFailure(request);
-    case QueryKind::kStatus: break;
+    default: break;  // Handle answers every other op inline
   }
   throw ProtocolError(ErrorCode::kInternal, "unreachable op");
 }
@@ -699,31 +685,14 @@ std::string Dispatcher::ExecuteLeakDist(const Request& request) const {
                   request.model == LeakModel::kReannounce ? "reannounce" : "originate"));
   }
   const leaksim::LeakCellResult& cell = leak_store_.cell(cell_index);
-  const std::vector<double>& sorted = leak_sorted_[cell_index];
-
-  static const std::vector<double> kDefaultQuantiles{0.5, 0.9, 0.99};
-  const std::vector<double>& qs =
-      request.quantiles.empty() ? kDefaultQuantiles : request.quantiles;
-
-  double mean = sorted.empty() ? 0.0
-                               : std::accumulate(sorted.begin(), sorted.end(), 0.0) /
-                                     static_cast<double>(sorted.size());
-  Json quantiles = Json::MakeArray();
-  for (double q : qs) {
-    Json entry = Json::MakeObject();
-    entry["q"] = q;
-    entry["value"] = SortedQuantile(sorted, q);
-    quantiles.Append(std::move(entry));
-  }
 
   Json result = Json::MakeObject();
+  SetDistribution(leak_sorted_[cell_index], request.quantiles, result);
   result["attempts"] = static_cast<std::uint64_t>(cell.attempts);
   result["collected"] = static_cast<std::uint64_t>(cell.collected());
   result["lock_mode"] =
       request.lock_mode == PeerLockMode::kFull ? "full" : "direct_only";
-  result["mean"] = mean;
   result["model"] = request.model == LeakModel::kReannounce ? "reannounce" : "originate";
-  result["quantiles"] = std::move(quantiles);
   result["requested"] = static_cast<std::uint64_t>(cell.spec.trials);
   result["scenario"] = ScenarioSlug(request.scenario);
   result["under_collected"] = cell.UnderCollected();
@@ -795,28 +764,12 @@ std::string Dispatcher::ExecuteFailure(const Request& request) const {
     case FailColumn::kLossUsers: sorted = &cell_sorted.loss_users; break;
   }
 
-  static const std::vector<double> kDefaultQuantiles{0.5, 0.9, 0.99};
-  const std::vector<double>& qs =
-      request.quantiles.empty() ? kDefaultQuantiles : request.quantiles;
-
-  double mean = sorted->empty() ? 0.0
-                                : std::accumulate(sorted->begin(), sorted->end(), 0.0) /
-                                      static_cast<double>(sorted->size());
-  Json quantiles = Json::MakeArray();
-  for (double q : qs) {
-    Json entry = Json::MakeObject();
-    entry["q"] = q;
-    entry["value"] = SortedQuantile(*sorted, q);
-    quantiles.Append(std::move(entry));
-  }
-
   Json result = Json::MakeObject();
+  SetDistribution(*sorted, request.quantiles, result);
   result["baseline"] = static_cast<std::uint64_t>(cell.baseline);
   result["collected"] = static_cast<std::uint64_t>(cell.collected());
   result["column"] = ToString(request.fail_column);
-  result["mean"] = mean;
   result["origin"] = request.origin;
-  result["quantiles"] = std::move(quantiles);
   result["requested"] = static_cast<std::uint64_t>(cell.spec.trials);
   result["scenario"] = failsim::ToString(request.fail_scenario);
   result["severity"] = cell.spec.severity;
@@ -865,8 +818,8 @@ std::string Dispatcher::StatusResult() {
   for (std::size_t k = 0; k < kNumQueryKinds; ++k) {
     auto kind = static_cast<QueryKind>(k);
     Json op = Json::MakeObject();
-    op["errors"] = OpErrors(kind).value();
-    op["requests"] = OpRequests(kind).value();
+    op["errors"] = MetricsOf(kind).errors->value();
+    op["requests"] = MetricsOf(kind).requests->value();
     ops[ToString(kind)] = std::move(op);
   }
 

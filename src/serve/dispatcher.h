@@ -131,7 +131,8 @@ class Dispatcher {
   const Internet& internet() const { return internet_; }
 
  private:
-  // Runs one parsed query; returns the compact `result` JSON. Throws
+  // Runs one pooled query (reach, reliance or leak; Handle answers the
+  // other ops inline); returns the compact `result` JSON. Throws
   // ProtocolError / CancelledError on failure. `trace` (nullable) receives
   // the setup / propagation / serialize phase marks.
   std::string Execute(const Request& request, const CancelToken* cancel,

@@ -301,9 +301,10 @@ Request RequestFromJson(const Json& doc) {
         throw ProtocolError(ErrorCode::kBadRequest,
                             "'deadline_ms' must be a positive integer");
       }
-      if (ms == 0 || ms > 3'600'000) {
+      if (ms == 0 || ms > static_cast<std::uint64_t>(kMaxDeadlineMs)) {
         throw ProtocolError(ErrorCode::kBadRequest,
-                            "'deadline_ms' must be in [1, 3600000]");
+                            StrFormat("'deadline_ms' must be in [1, %lld]",
+                                      static_cast<long long>(kMaxDeadlineMs)));
       }
       request.deadline_ms = static_cast<std::int64_t>(ms);
       continue;

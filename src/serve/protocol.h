@@ -123,6 +123,11 @@ enum class QueryKind : std::uint8_t {
 
 inline constexpr std::size_t kNumQueryKinds = 10;
 
+// The longest `deadline_ms` a request may carry. The daemons' millisecond
+// time flags share the cap, so no deadline, timeout or hedge delay they
+// add to steady_clock::now() can overflow the clock.
+inline constexpr std::int64_t kMaxDeadlineMs = 3'600'000;
+
 const char* ToString(QueryKind kind);
 
 // Which baseline exclusion set a reach query starts from (§6's nested

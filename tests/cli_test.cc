@@ -245,8 +245,7 @@ class ToolExitCodes : public ::testing::Test {
     dir_ = new std::string((std::filesystem::temp_directory_path() / name).string());
     std::filesystem::create_directories(*dir_);
     ASSERT_EQ(Run("flatnet_gen --era 2015 --ases 200 --world-only --graph-out {g}"), 0);
-    std::ifstream in(Expand("{g}"), std::ios::binary);
-    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    std::string bytes = Slurp("{g}");
     ASSERT_GT(bytes.size(), 64u);
     std::ofstream(Expand("{t}"), std::ios::binary).write(bytes.data(), bytes.size() / 2);
   }
@@ -266,6 +265,12 @@ class ToolExitCodes : public ::testing::Test {
     replace("{t}", *dir_ + "/truncated.graph");
     replace("{d}", *dir_);
     return text;
+  }
+
+  // The bytes of the file `path` names ({g}, {t} and {d} expanded).
+  static std::string Slurp(const std::string& path) {
+    std::ifstream in(Expand(path), std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   }
 
   // The exit code of `command`, its tool taken from the build's tools
@@ -324,9 +329,7 @@ class ToolExitCodes : public ::testing::Test {
     std::string dump = *dir_ + "/recorder.dump";
     std::filesystem::remove(dump);
     int code = Run(command, dump);
-    std::ifstream log(*dir_ + "/last.log");
-    std::string output((std::istreambuf_iterator<char>(log)), std::istreambuf_iterator<char>());
-    EXPECT_EQ(code, expected) << command << "\n" << output;
+    EXPECT_EQ(code, expected) << command << "\n" << Slurp("{d}/last.log");
     EXPECT_FALSE(std::filesystem::exists(dump)) << command << " wrote a crash dump";
   }
 
@@ -390,6 +393,27 @@ TEST_F(ToolExitCodes, ServeExplicitStoreMustAttach) {
   Expect(1, "flatnet_serve --topology {g} --threads 1 --fail {g}");
 }
 
+// serve caches an absent `.graph` path from the era recipe flatnet_gen
+// uses, published before the server binds, so the two files are equal.
+TEST_F(ToolExitCodes, ServePublishesTheGraphFlatnetGenWrites) {
+  std::string recipe = " --era 2015 --ases 300 --seed 7";
+  Expect(1, "flatnet_serve --topology {d}/gen.graph --threads 1 --bind 256.0.0.1" + recipe);
+  Expect(0, "flatnet_gen --graph-out {d}/ref.graph" + recipe);
+  std::string published = Slurp("{d}/gen.graph");
+  EXPECT_FALSE(published.empty());
+  EXPECT_TRUE(published == Slurp("{d}/ref.graph"));
+}
+
+// Text is interchange, never a cache: an absent text stem is an error
+// naming the missing file, and nothing is written there.
+TEST_F(ToolExitCodes, ServeNeverWritesATextCache) {
+  std::string recipe = " --era 2015 --ases 300 --seed 7";
+  Expect(1, "flatnet_serve --topology {d}/stem --threads 1 --bind 256.0.0.1" + recipe);
+  EXPECT_NE(Slurp("{d}/last.log").find("stem.as-rel.txt"), std::string::npos);
+  EXPECT_FALSE(std::filesystem::exists(Expand("{d}/stem.as-rel.txt")));
+  EXPECT_FALSE(std::filesystem::exists(Expand("{d}/stem.meta.tsv")));
+}
+
 TEST_F(ToolExitCodes, TruncatedGraphIsAnErrorForEveryLoader) {
   Expect(1, "flatnet_reach {t} --top 3");
   Expect(1, "flatnet_sweep {t} --out {d}/t.sweep");
@@ -427,6 +451,25 @@ TEST_F(ToolExitCodes, NumericFlagsThatDoNotFitAreUsageErrors) {
   Expect(2, "flatnet_diffcheck --max-ases 4294967296");
   Expect(2, "flatnet_leaksim {g} --victim 0");
   Expect(2, "flatnet_failsim {g} --trim 0.5");
+}
+
+// Past serve::kMaxDeadlineMs (1 h) a deadline, timeout or hedge delay
+// added to steady_clock::now() can overflow the clock. Each line names an
+// unbindable address, so a tool that accepts its flags exits 1 at bind.
+TEST_F(ToolExitCodes, TimeFlagsPastTheDeadlineCapAreUsageErrors) {
+  std::string serve = "flatnet_serve --topology {g} --threads 1 --bind 256.0.0.1 ";
+  std::string router = "flatnet_router --backends 127.0.0.1:1 --bind 256.0.0.1 ";
+  Expect(1, serve + "--default-deadline-ms 3600000");
+  Expect(2, serve + "--default-deadline-ms 3600001");
+  Expect(2, serve + "--default-deadline-ms 9223372036854775807");
+  Expect(1, router + "--request-timeout-ms 3600000 --probe-interval-ms 3600000");
+  Expect(2, router + "--request-timeout-ms 3600001");
+  Expect(2, router + "--request-timeout-ms 9223372036854775807");
+  Expect(2, router + "--probe-interval-ms 9223372036854775807");
+  Expect(1, router + "--hedge-min-ms 3600000 --hedge-max-ms 3600000");
+  Expect(2, router + "--hedge-min-ms 3600001");
+  Expect(2, router + "--hedge-max-ms 1e300");
+  Expect(2, router + "--hedge-max-ms inf");
 }
 
 TEST_F(ToolExitCodes, BadCommandLinesAreUsageErrors) {

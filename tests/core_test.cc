@@ -135,7 +135,6 @@ TEST_F(CoreTest, BaselineProducesSamples) {
 TEST_F(CoreTest, SerializeRoundTrip) {
   std::string stem = (std::filesystem::temp_directory_path() / "flatnet_test_cache").string();
   SaveInternet(internet(), stem);
-  ASSERT_TRUE(InternetCacheExists(stem));
   Internet loaded = LoadInternet(stem);
   EXPECT_EQ(loaded.num_ases(), internet().num_ases());
   EXPECT_EQ(loaded.graph().num_edges(), internet().graph().num_edges());
@@ -171,7 +170,6 @@ TEST(CoreErrors, MismatchedSizesThrow) {
 }
 
 TEST(CoreErrors, LoadMissingCacheThrows) {
-  EXPECT_FALSE(InternetCacheExists("/nonexistent/stem"));
   EXPECT_THROW(LoadInternet("/nonexistent/stem"), Error);
 }
 

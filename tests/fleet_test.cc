@@ -673,6 +673,28 @@ TEST(FleetHedging, FirstArrivalWinsAndLoserIsAbandoned) {
   fast_running.join();
 }
 
+// Stop sets the prober's flag under its mutex, so a prober between its
+// predicate check and its wait cannot miss the notify and sleep out the
+// probe interval. Stops 0-100 us after Start sweep across that window, so
+// a lost wakeup shows within the first hundred cycles.
+TEST(FleetRouterLifecycle, StopNeverWaitsOutTheProbeInterval) {
+  fleet::RouterOptions options;
+  options.backends = {fleet::ParseBackendAddress("127.0.0.1:1")};  // refuses
+  options.probe_interval = std::chrono::milliseconds(2000);
+  for (int i = 0; i < 1000; ++i) {
+    fleet::FleetRouter router(options);
+    router.Start();
+    auto delay = std::chrono::nanoseconds(i % 400 * 250);
+    auto spin_until = std::chrono::steady_clock::now() + delay;
+    while (std::chrono::steady_clock::now() < spin_until) {
+    }
+    auto stop_at = std::chrono::steady_clock::now();
+    router.Stop();
+    ASSERT_LT(std::chrono::steady_clock::now() - stop_at, std::chrono::milliseconds(1000))
+        << "stop " << i << " waited out the probe interval";
+  }
+}
+
 // --------------------------------------------------------------------------
 // Connection cap: past the limit an accept receives one structured
 // `overloaded` line and a close — backpressure, not a mystery RST.

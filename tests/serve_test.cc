@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,6 +92,12 @@ TEST(ServeProtocol, RejectsMalformedRequests) {
   EXPECT_EQ(
       CodeOf([] { ParseRequest(R"({"op":"reach","origin":1,"deadline_ms":0})"); }),
       ErrorCode::kBadRequest);
+  // The cap is one hour, the same bound the daemons' time flags take.
+  EXPECT_EQ(
+      CodeOf([] { ParseRequest(R"({"op":"reach","origin":1,"deadline_ms":3600001})"); }),
+      ErrorCode::kBadRequest);
+  EXPECT_EQ(ParseRequest(R"({"op":"reach","origin":1,"deadline_ms":3600000})").deadline_ms,
+            3'600'000);
 }
 
 TEST(ServeProtocol, ParsesTopRequests) {
@@ -441,6 +448,13 @@ TEST_F(ServeDispatchTest, StatusReportsPerOpCountersHitRatioAndUptime) {
   // Counters are process-global, so compare deltas, not absolutes.
   EXPECT_GE(ops.Get("reach").Get("requests").AsU64(),
             before.Get("ops").Get("reach").Get("requests").AsU64() + 2);
+  EXPECT_EQ(ops.Get("reach").Get("errors").AsU64(),
+            before.Get("ops").Get("reach").Get("errors").AsU64());
+  // The same counters under their exported names.
+  EXPECT_EQ(obs::GetCounter("serve.reach.requests").value(),
+            ops.Get("reach").Get("requests").AsU64());
+  EXPECT_EQ(obs::GetCounter("serve.reach.errors").value(),
+            ops.Get("reach").Get("errors").AsU64());
   EXPECT_GE(ops.Get("status").Get("requests").AsU64(), 2u);
 
   const Json& cache = after.Get("cache");
@@ -625,6 +639,22 @@ TEST_F(ServeDispatchTest, LeakDistWithoutStoreIsBadRequest) {
   EXPECT_FALSE(status.Get("result").Get("leak_store").Get("loaded").AsBool());
 }
 
+// A distribution op (leakdist, failure) asked without `q` answers
+// p50/p90/p99 of the cell's trials and their mean.
+void ExpectDefaultDistribution(const Json& result, const std::vector<double>& trials) {
+  const std::vector<double> qs{0.5, 0.9, 0.99};
+  const Json& quantiles = result.Get("quantiles");
+  ASSERT_EQ(quantiles.size(), qs.size());
+  for (std::size_t i = 0; i < qs.size(); ++i) {
+    EXPECT_DOUBLE_EQ(quantiles[i].Get("q").AsNumber(), qs[i]);
+    EXPECT_DOUBLE_EQ(quantiles[i].Get("value").AsNumber(), Quantile(trials, qs[i]));
+  }
+  ASSERT_FALSE(trials.empty());
+  double mean = std::accumulate(trials.begin(), trials.end(), 0.0) /
+                static_cast<double>(trials.size());
+  EXPECT_NEAR(result.Get("mean").AsNumber(), mean, 1e-12);
+}
+
 TEST_F(ServeDispatchTest, LeakDistServesQuantilesFromAttachedStore) {
   // Build a small two-cell campaign, round-trip it through a store file,
   // and attach it to a fresh dispatcher.
@@ -663,6 +693,10 @@ TEST_F(ServeDispatchTest, LeakDistServesQuantilesFromAttachedStore) {
   // The served quantile is the shared nearest-rank statistic of the cell.
   EXPECT_DOUBLE_EQ(quantiles[0].Get("value").AsNumber(),
                    Quantile(table.cells[1].fraction_ases, 0.9));
+  Json defaults = Json::Parse(d.HandleSync(StrFormat(
+      R"({"op":"leakdist","victim":%u,"scenario":"t1t2","id":9})", AsnAt(victim))));
+  ASSERT_TRUE(defaults.Get("ok").AsBool()) << defaults.Dump();
+  ExpectDefaultDistribution(defaults.Get("result"), table.cells[1].fraction_ases);
 
   // A tuple the campaign never ran answers bad_request, not zeros.
   Json missing = Json::Parse(d.HandleSync(StrFormat(
@@ -812,6 +846,10 @@ TEST_F(ServeDispatchTest, HegemonyAndFailureServeFromAttachedStore) {
   EXPECT_DOUBLE_EQ(result.Get("quantiles")[0].Get("q").AsNumber(), 0.9);
   EXPECT_DOUBLE_EQ(result.Get("quantiles")[0].Get("value").AsNumber(),
                    Quantile(table.cells[1].loss_ases, 0.9));
+  Json defaults = Json::Parse(d.HandleSync(StrFormat(
+      R"({"op":"failure","origin":%u,"scenario":"tier1","id":6})", AsnAt(origin))));
+  ASSERT_TRUE(defaults.Get("ok").AsBool()) << defaults.Dump();
+  ExpectDefaultDistribution(defaults.Get("result"), table.cells[1].loss_ases);
 
   // A scenario the campaign never ran, and the user-weighted column of a
   // store built without --users, both answer structured errors.

@@ -90,9 +90,8 @@ int main(int argc, char** argv) {
     }
     if (stem.empty() && graph_out.empty()) throw cli::UsageError();
 
-    GeneratorParams generator =
-        era == "2015" ? GeneratorParams::Era2015(ases) : GeneratorParams::Era2020(ases);
-    if (seed != 0) generator.seed = seed;
+    StudyOptions options = EraStudyOptions(era == "2020", ases, seed);
+    GeneratorParams& generator = options.generator;
     generator.stream_budget_bytes = stream_budget_mb << 20;
     generator.assign_prefixes = !no_prefixes;
 
@@ -108,9 +107,6 @@ int main(int argc, char** argv) {
                           std::move(world.metadata));
       flavor = "ground-truth";
     } else {
-      StudyOptions options;
-      options.generator = generator;
-      options.campaign.seed = generator.seed ^ 0xca3;
       Study study(options);
       internet = use_truth ? study.truth() : study.internet();
       flavor = use_truth ? "ground-truth" : "measured";

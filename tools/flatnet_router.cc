@@ -24,7 +24,8 @@
 // (127.0.0.1 assumed). Hedging re-issues a slow compute query to the next
 // distinct live shard once the owner has been silent for
 // multiplier x its EWMA latency (clamped to [min,max]); first response
-// wins.
+// wins. Every *-ms flag is capped at 3600000 (1 h, the protocol's
+// deadline_ms cap); a larger value is a usage error.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
@@ -70,6 +71,7 @@ std::vector<fleet::BackendAddress> ParseBackendList(const std::string& list) {
 int main(int argc, char** argv) {
   return cli::Main(argc, argv, "flatnet_router", kUsage, [](cli::Args& args) {
     constexpr double kInfinity = std::numeric_limits<double>::infinity();
+    using Ms = std::chrono::milliseconds;
     fleet::RouterOptions router_options;
     serve::ServerOptions server_options;
     std::string port_file;
@@ -91,19 +93,17 @@ int main(int argc, char** argv) {
       } else if (args.Is("--vnodes")) {
         router_options.vnodes = args.Unsigned<std::size_t>(1);
       } else if (args.Is("--probe-interval-ms")) {
-        router_options.probe_interval =
-            std::chrono::milliseconds(args.Unsigned<std::chrono::milliseconds::rep>(1));
+        router_options.probe_interval = Ms(args.Unsigned<Ms::rep>(1, serve::kMaxDeadlineMs));
       } else if (args.Is("--request-timeout-ms")) {
-        router_options.request_timeout =
-            std::chrono::milliseconds(args.Unsigned<std::chrono::milliseconds::rep>(1));
+        router_options.request_timeout = Ms(args.Unsigned<Ms::rep>(1, serve::kMaxDeadlineMs));
       } else if (args.Is("--no-hedging")) {
         router_options.hedging = false;
       } else if (args.Is("--hedge-multiplier")) {
         router_options.hedge.multiplier = args.Double(0.0, kInfinity);
       } else if (args.Is("--hedge-min-ms")) {
-        router_options.hedge.min_ms = args.Double(0.0, kInfinity);
+        router_options.hedge.min_ms = args.Double(0.0, serve::kMaxDeadlineMs);
       } else if (args.Is("--hedge-max-ms")) {
-        router_options.hedge.max_ms = args.Double(0.0, kInfinity);
+        router_options.hedge.max_ms = args.Double(0.0, serve::kMaxDeadlineMs);
       } else if (args.Is("--max-connections")) {
         server_options.max_connections = args.Unsigned<std::size_t>();
       } else {

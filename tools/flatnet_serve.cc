@@ -1,8 +1,9 @@
 // flatnet_serve: resident analysis query service.
 //
-// Loads a topology once (from a SaveInternet stem, generating and caching
-// it when absent) and answers reach / reliance / leak / status queries over
-// line-delimited JSON on TCP — see src/serve/protocol.h for the grammar.
+// Loads a topology once (from a `.graph` store or a text stem, generating
+// and caching a `.graph` when absent) and answers reach / reliance / leak /
+// status queries over line-delimited JSON on TCP — see
+// src/serve/protocol.h for the grammar.
 // Results are cached (sharded byte-budget LRU), admission is bounded, and
 // SIGTERM/SIGINT drain gracefully: admitted queries finish and answer
 // before the process exits.
@@ -32,11 +33,15 @@
 // the server runs. The `metrics` and `debug` serve ops expose the same
 // state over the socket.
 //
-// With --topology, the stem is loaded when present; otherwise the era
-// topology is generated and saved there (atomic publish), so restarts are
-// fast. Without --topology the topology lives only in memory. --port 0
-// (default) binds an ephemeral port; --port-file publishes the bound port
-// for scripted clients.
+// With --topology, an existing `.graph` store or text stem is loaded. An
+// absent `.graph` path gets the era topology (--era/--ases/--seed, the
+// recipe flatnet_gen uses) generated and published there (atomic rename),
+// so a restart maps exactly what the first run served; an absent text stem
+// is an error. Without --topology the topology lives only in memory.
+// --default-deadline-ms applies to queries that name no deadline_ms and
+// shares the protocol's cap of 3600000 (1 h). --port 0 (default) binds an
+// ephemeral port; --port-file publishes the bound port for scripted
+// clients.
 //
 // --sweep attaches a flatnet_sweep result store, enabling the `top` op
 // (a load or fingerprint failure is then fatal). Without the flag,
@@ -57,7 +62,6 @@
 
 #include "cli/cli.h"
 #include "core/graph_store.h"
-#include "core/serialize.h"
 #include "core/study.h"
 #include "failsim/store.h"
 #include "leaksim/store.h"
@@ -154,35 +158,25 @@ void AttachStores(serve::Dispatcher& dispatcher, const std::string& stem,
   }
 }
 
-Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::uint32_t ases,
+// A `.graph` store is memory-mapped: adjacency serves straight from the
+// file, no builder, no hash maps. An absent text stem fails in the loader,
+// naming the missing file: text is never written as a cache.
+Internet LoadOrGenerate(const std::string& topology, bool era2020, std::uint32_t ases,
                         std::uint64_t seed) {
-  // A `.graph` topology is memory-mapped: adjacency serves straight from
-  // the file, no builder, no hash maps.
-  if (IsGraphStorePath(stem)) {
-    if (std::filesystem::exists(stem)) {
-      std::fprintf(stderr, "mapping topology from %s...\n", stem.c_str());
-      return LoadInternetBinary(stem);
-    }
-  } else if (!stem.empty() && InternetCacheExists(stem)) {
-    std::fprintf(stderr, "loading topology from %s...\n", stem.c_str());
-    return LoadInternet(stem);
+  bool absent_graph = IsGraphStorePath(topology) && !std::filesystem::exists(topology);
+  if (!topology.empty() && !absent_graph) {
+    std::fprintf(stderr, "loading topology from %s...\n", topology.c_str());
+    return LoadInternetAuto(topology);
   }
-  StudyOptions options;
-  options.generator =
-      era == "2015" ? GeneratorParams::Era2015(ases) : GeneratorParams::Era2020(ases);
-  if (seed != 0) options.generator.seed = seed;
-  options.campaign.seed = options.generator.seed ^ 0xca3;
-  std::fprintf(stderr, "generating %s-era Internet (%u ASes, seed %llu)...\n", era.c_str(),
-               options.generator.total_ases,
+  StudyOptions options = EraStudyOptions(era2020, ases, seed);
+  std::fprintf(stderr, "generating %s-era Internet (%u ASes, seed %llu)...\n",
+               era2020 ? "2020" : "2015", options.generator.total_ases,
                static_cast<unsigned long long>(options.generator.seed));
   Study study(options);
   Internet internet = study.internet();
-  if (IsGraphStorePath(stem)) {
-    SaveInternetBinary(internet, stem);
-    std::fprintf(stderr, "cached topology at %s\n", stem.c_str());
-  } else if (!stem.empty()) {
-    SaveInternet(internet, stem);
-    std::fprintf(stderr, "cached topology at %s.{as-rel.txt,meta.tsv}\n", stem.c_str());
+  if (!topology.empty()) {
+    SaveInternetBinary(internet, topology);
+    std::fprintf(stderr, "cached topology at %s\n", topology.c_str());
   }
   return internet;
 }
@@ -192,7 +186,7 @@ Internet LoadOrGenerate(const std::string& stem, const std::string& era, std::ui
 int main(int argc, char** argv) {
   return cli::Main(argc, argv, "flatnet_serve", kUsage, [](cli::Args& args) {
     std::string stem;
-    std::string era = "2020";
+    bool era2020 = true;
     std::uint32_t ases = 0;
     std::uint64_t seed = 0;
     std::string port_file;
@@ -205,7 +199,7 @@ int main(int argc, char** argv) {
       if (args.Is("--topology")) {
         stem = args.Value();
       } else if (args.Is("--era")) {
-        era = args.Choice({"2015", "2020"}) == 0 ? "2015" : "2020";
+        era2020 = args.Choice({"2015", "2020"}) == 1;
       } else if (args.Is("--ases")) {
         ases = args.Unsigned<std::uint32_t>();
       } else if (args.Is("--seed")) {
@@ -225,7 +219,7 @@ int main(int argc, char** argv) {
       } else if (args.Is("--max-inflight")) {
         dispatch.max_inflight = args.Unsigned<std::size_t>(1);
       } else if (args.Is("--default-deadline-ms")) {
-        dispatch.default_deadline_ms = args.Unsigned<std::int64_t>();
+        dispatch.default_deadline_ms = args.Unsigned<std::int64_t>(0, serve::kMaxDeadlineMs);
       } else if (args.Is("--slow-query-ms")) {
         dispatch.slow_query_ms = args.Unsigned<std::int64_t>();
       } else if (args.Is("--shard")) {
@@ -250,7 +244,7 @@ int main(int argc, char** argv) {
       // crash time; InstallCrashHandler copies it into static storage.
       obs::InstallCrashHandler(recorder_dump);
     }
-    Internet internet = LoadOrGenerate(stem, era, ases, seed);
+    Internet internet = LoadOrGenerate(stem, era2020, ases, seed);
     std::fprintf(stderr, "topology: %zu ASes, %zu relationships\n", internet.num_ases(),
                  internet.graph().num_edges());
 
