@@ -25,6 +25,7 @@
 #include "bgp/policy.h"
 #include "bgp/propagation.h"
 #include "util/bitset.h"
+#include "util/names.h"
 
 namespace flatnet {
 
@@ -32,6 +33,10 @@ enum class LeakModel {
   kReannounce,  // leaked route competes with the leaker's real path length
   kOriginate,   // hijack: leaker originates the prefix (length 0)
 };
+
+// The serve protocol's `model` spellings.
+inline constexpr NameTable<LeakModel, 2> kLeakModelNames{{"reannounce", "originate"}};
+inline const char* ToString(LeakModel model) { return kLeakModelNames.Name(model); }
 
 struct LeakConfig {
   // Neighbors the victim announces to; nullopt = all neighbors.

@@ -15,6 +15,7 @@
 #include "asgraph/as_graph.h"
 #include "util/bitset.h"
 #include "util/cancel.h"
+#include "util/names.h"
 
 namespace flatnet::obs {
 class RequestTrace;
@@ -62,6 +63,10 @@ enum class PeerLockMode : std::uint8_t {
   kFull,        // erratum semantics (default)
   kDirectOnly,  // pre-erratum: only direct announcements are filtered
 };
+
+// The serve protocol's `lock_mode` spellings.
+inline constexpr NameTable<PeerLockMode, 2> kPeerLockModeNames{{"full", "direct_only"}};
+inline const char* ToString(PeerLockMode mode) { return kPeerLockModeNames.Name(mode); }
 
 // Subgraph restriction and defensive filtering applied during propagation.
 struct PropagationOptions {

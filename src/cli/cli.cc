@@ -51,7 +51,7 @@ double Args::Double(double lo, double hi) {
   return *value;
 }
 
-std::size_t Args::Choice(std::initializer_list<std::string_view> choices) {
+std::size_t Args::Choice(std::span<const std::string_view> choices) {
   std::string flag = tokens_[at_];
   const std::string& value = Value();
   std::size_t index = 0;

@@ -27,12 +27,15 @@
 #ifndef FLATNET_CLI_CLI_H_
 #define FLATNET_CLI_CLI_H_
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <initializer_list>
 #include <limits>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -45,6 +48,7 @@
 #include "core/internet.h"
 #include "obs/log.h"
 #include "util/error.h"
+#include "util/names.h"
 #include "util/strings.h"
 
 namespace flatnet::cli {
@@ -115,7 +119,18 @@ class Args {
   double Double(double lo, double hi);
 
   // The index of the current flag's value in `choices`.
-  std::size_t Choice(std::initializer_list<std::string_view> choices);
+  std::size_t Choice(std::span<const std::string_view> choices);
+  std::size_t Choice(std::initializer_list<std::string_view> choices) {
+    return Choice(std::span(choices.begin(), choices.size()));
+  }
+
+  // The current flag's value as the enumerator `names` spells it.
+  template <typename Enum, std::size_t N>
+  Enum Choice(const NameTable<Enum, N>& names) {
+    std::array<std::string_view, N> choices;
+    std::copy(names.names.begin(), names.names.end(), choices.begin());
+    return static_cast<Enum>(Choice(choices));
+  }
 
   // The current token as a positional argument; a token that starts with
   // '-' is an unknown flag.

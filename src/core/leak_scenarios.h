@@ -11,6 +11,7 @@
 #include "bgp/leak.h"
 #include "bgp/policy.h"
 #include "core/internet.h"
+#include "util/names.h"
 #include "util/rng.h"
 
 namespace flatnet {
@@ -25,7 +26,13 @@ enum class LeakScenario {
 
 inline constexpr std::size_t kNumLeakScenarios = 5;
 
+// A display name, for tables and logs.
 const char* ToString(LeakScenario scenario);
+
+// The short slugs: flatnet_leaksim's --lock values (the first four) and
+// the serve protocol's leakdist `scenario`.
+inline constexpr NameTable<LeakScenario, kNumLeakScenarios> kLeakScenarioSlugs{
+    {"none", "t1", "t1t2", "global", "hierarchy"}};
 
 // Builds the LeakConfig for one (victim, scenario) cell: the victim's
 // export restriction and/or the locking neighbor set, per the scenario

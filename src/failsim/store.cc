@@ -67,16 +67,6 @@ std::string Serialize(const FailTable& table) {
 
 }  // namespace
 
-const char* ToString(FailScenario scenario) {
-  switch (scenario) {
-    case FailScenario::kSingleAs: return "single_as";
-    case FailScenario::kTier1: return "tier1";
-    case FailScenario::kHegemonyCascade: return "hegemony_cascade";
-    case FailScenario::kLinkSet: return "link_set";
-  }
-  return "unknown";
-}
-
 void WriteFailStore(const std::string& path, const FailTable& table) {
   colstore::AtomicWriteFile(path, Serialize(table), "WriteFailStore");
 }

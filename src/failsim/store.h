@@ -31,6 +31,7 @@
 
 #include "asgraph/as_graph.h"
 #include "core/internet.h"
+#include "util/names.h"
 
 namespace flatnet::failsim {
 
@@ -50,7 +51,11 @@ enum class FailScenario : std::uint32_t {
 };
 inline constexpr std::size_t kNumFailScenarios = 4;
 
-const char* ToString(FailScenario scenario);
+// flatnet_failsim's --scenarios spellings and the serve protocol's
+// failure `scenario`.
+inline constexpr NameTable<FailScenario, kNumFailScenarios> kFailScenarioNames{
+    {"single_as", "tier1", "hegemony_cascade", "link_set"}};
+inline const char* ToString(FailScenario scenario) { return kFailScenarioNames.Name(scenario); }
 
 // One campaign cell: everything that determines its trial series.
 struct FailCellSpec {

@@ -10,6 +10,7 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/recorder.h"
+#include "serve/dispatcher.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -118,37 +119,19 @@ void FleetRouter::Handle(const std::string& line, std::function<void(std::string
                          std::chrono::steady_clock::time_point /*received_at*/) {
   Counters().requests.Increment();
 
-  Json doc;
-  try {
-    doc = Json::Parse(line);
-  } catch (const ParseError& e) {
-    Counters().errors.Increment();
-    done(ErrorResponse(Json(), ErrorCode::kBadRequest,
-                       std::string("malformed JSON: ") + e.what()));
-    return;
-  }
-  Json id = doc.type() == Json::Type::kObject ? doc.Get("id") : Json();
-
   Request request;
-  try {
-    request = serve::RequestFromJson(doc);
-  } catch (const serve::ProtocolError& e) {
-    Counters().errors.Increment();
-    done(ErrorResponse(id, e.code(), e.what()));
-    return;
-  }
-
   std::string response;
   try {
-    response = Route(request, id, line);
+    serve::ParseRequest(line, request);
+    response = Route(request, line);
   } catch (const serve::ProtocolError& e) {
     Counters().errors.Increment();
     if (e.code() == ErrorCode::kUnavailable) Counters().unavailable.Increment();
-    response = ErrorResponse(id, e.code(), e.what());
+    response = ErrorResponse(request.id, e.code(), e.what());
   } catch (const Error& e) {
     Counters().errors.Increment();
     obs::Log(obs::LogLevel::kError, "fleet", "router.internal_error").Kv("error", e.what());
-    response = ErrorResponse(id, ErrorCode::kInternal, e.what());
+    response = ErrorResponse(request.id, ErrorCode::kInternal, e.what());
   }
   done(std::move(response));
 }
@@ -161,8 +144,7 @@ std::string FleetRouter::HandleSync(const std::string& line) {
   return response;
 }
 
-std::string FleetRouter::Route(const Request& request, const Json& id,
-                               const std::string& line) {
+std::string FleetRouter::Route(const Request& request, const std::string& line) {
   switch (request.kind) {
     case QueryKind::kReach:
     case QueryKind::kReliance:
@@ -175,13 +157,13 @@ std::string FleetRouter::Route(const Request& request, const Json& id,
     case QueryKind::kFailure:
       return ForwardStore(request.origin, line);
     case QueryKind::kTop:
-      return ScatterTop(id, line);
+      return ScatterTop(request.id, line);
     case QueryKind::kStatus:
-      return FleetStatus(id);
+      return FleetStatus(request.id);
     case QueryKind::kMetrics:
-      return OkResponse(id, LocalMetrics(request), false);
+      return OkResponse(request.id, serve::MetricsResult(request), false);
     case QueryKind::kDebug:
-      return OkResponse(id, LocalDebug(request), false);
+      return OkResponse(request.id, obs::RecorderJson(request.debug_n).Dump(), false);
   }
   throw serve::ProtocolError(ErrorCode::kInternal, "unreachable op");
 }
@@ -591,23 +573,6 @@ std::string FleetRouter::FleetStatus(const Json& id) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time_)
           .count();
   return OkResponse(id, result.Dump(), false);
-}
-
-std::string FleetRouter::LocalMetrics(const Request& request) const {
-  Json result = Json::MakeObject();
-  if (request.prometheus) {
-    result["content_type"] = "text/plain; version=0.0.4";
-    result["format"] = "prometheus";
-    result["text"] = obs::RenderPrometheusText();
-  } else {
-    result["format"] = "json";
-    result["metrics"] = obs::ObservabilitySnapshot();
-  }
-  return result.Dump();
-}
-
-std::string FleetRouter::LocalDebug(const Request& request) const {
-  return obs::RecorderJson(request.debug_n).Dump();
 }
 
 RouterStats FleetRouter::stats() const {

@@ -111,8 +111,7 @@ class FleetRouter {
   BackendPool& pool() { return pool_; }
 
  private:
-  std::string Route(const serve::Request& request, const Json& id,
-                    const std::string& line);
+  std::string Route(const serve::Request& request, const std::string& line);
   // Keyed compute op: owner-affine with failover and hedging.
   std::string ForwardCompute(std::uint32_t key_asn, const std::string& line);
   // Keyed store op: strict ownership; dead owner => `unavailable`.
@@ -123,8 +122,6 @@ class FleetRouter {
                                        bool hedgeable, std::uint32_t hedge_key);
   std::string ScatterTop(const Json& id, const std::string& line);
   std::string FleetStatus(const Json& id);
-  std::string LocalMetrics(const serve::Request& request) const;
-  std::string LocalDebug(const serve::Request& request) const;
   // One status round-trip to `shard`, feeding MarkSuccess / MarkFailure.
   void ProbeShard(std::size_t shard);
   void ProbeLoop();

@@ -72,18 +72,6 @@ std::int64_t SlowQueryMsFromEnv() {
   return static_cast<std::int64_t>(ms);
 }
 
-// The wire spellings of a campaign cell's scenario (protocol.h grammar).
-const char* ScenarioSlug(LeakScenario scenario) {
-  switch (scenario) {
-    case LeakScenario::kAnnounceAll: return "none";
-    case LeakScenario::kAnnounceAllLockT1: return "t1";
-    case LeakScenario::kAnnounceAllLockT1T2: return "t1t2";
-    case LeakScenario::kAnnounceAllLockGlobal: return "global";
-    case LeakScenario::kAnnounceHierarchyOnly: return "hierarchy";
-  }
-  return "none";
-}
-
 // Nearest-rank quantile over an ascending pre-sorted sample — the same
 // convention as util/stats.h Quantile, without re-sorting per query.
 double SortedQuantile(const std::vector<double>& sorted, double q) {
@@ -119,6 +107,18 @@ double MillisSince(std::chrono::steady_clock::time_point t0) {
 }
 
 }  // namespace
+
+std::string MetricsResult(const Request& request) {
+  Json result = Json::MakeObject();
+  result["format"] = ToString(request.format);
+  if (request.format == MetricsFormat::kPrometheus) {
+    result["content_type"] = "text/plain; version=0.0.4";
+    result["text"] = obs::RenderPrometheusText();
+  } else {
+    result["metrics"] = obs::ObservabilitySnapshot();
+  }
+  return result.Dump();
+}
 
 Dispatcher::Dispatcher(const Internet& internet, const DispatcherOptions& options)
     : internet_(internet),
@@ -290,23 +290,12 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
   Counters().requests.Increment();
   auto t0 = std::chrono::steady_clock::now();
 
-  Json doc;
-  try {
-    doc = Json::Parse(line);
-  } catch (const ParseError& e) {
-    Counters().errors.Increment();
-    done(ErrorResponse(Json(), ErrorCode::kBadRequest,
-                       std::string("malformed JSON: ") + e.what()));
-    return;
-  }
-  Json id = doc.type() == Json::Type::kObject ? doc.Get("id") : Json();
-
   Request request;
   try {
-    request = RequestFromJson(doc);
+    ParseRequest(line, request);
   } catch (const ProtocolError& e) {
     Counters().errors.Increment();
-    done(ErrorResponse(id, e.code(), e.what()));
+    done(ErrorResponse(request.id, e.code(), e.what()));
     return;
   }
   MetricsOf(request.kind).requests->Increment();
@@ -334,18 +323,18 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
         case QueryKind::kStatus: result = StatusResult(); break;
         case QueryKind::kTop: result = ExecuteTop(request); break;
         case QueryKind::kLeakDist: result = ExecuteLeakDist(request); break;
-        case QueryKind::kMetrics: result = ExecuteMetrics(request); break;
-        case QueryKind::kDebug: result = ExecuteDebug(request); break;
+        case QueryKind::kMetrics: result = MetricsResult(request); break;
+        case QueryKind::kDebug: result = obs::RecorderJson(request.debug_n).Dump(); break;
         case QueryKind::kHegemony: result = ExecuteHegemony(request); break;
         case QueryKind::kFailure: result = ExecuteFailure(request); break;
         default: break;
       }
       if (trace != nullptr) trace->Mark("execute");
-      Respond(request, id, result, false, trace.get(), done);
+      Respond(request, result, false, trace.get(), done);
     } catch (const ProtocolError& e) {
       Counters().errors.Increment();
       MetricsOf(request.kind).errors->Increment();
-      done(ErrorResponse(id, e.code(), e.what()));
+      done(ErrorResponse(request.id, e.code(), e.what()));
     }
     MetricsOf(request.kind).latency->Observe(MillisSince(t0));
     return;
@@ -354,7 +343,7 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
   std::string key = CacheKey(request);
   if (auto hit = cache_.Get(key)) {
     if (trace != nullptr) trace->Mark("cache_probe");
-    Respond(request, id, *hit, true, trace.get(), done);
+    Respond(request, *hit, true, trace.get(), done);
     MetricsOf(request.kind).latency->Observe(MillisSince(t0));
     return;
   }
@@ -372,9 +361,9 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
 
   inflight_.fetch_add(1, std::memory_order_relaxed);
   Counters().inflight.Set(inflight_.load(std::memory_order_relaxed));
-  // `done` and `id` are captured by copy: if admission rejects the job, the
-  // originals are still live for the overload response below.
-  auto job = [this, request, id, key, token, done, t0, trace] {
+  // `request` and `done` are captured by copy: if admission rejects the
+  // job, the originals are still live for the overload response below.
+  auto job = [this, request, key, token, done, t0, trace] {
     if (trace != nullptr) trace->Mark("queue");
     std::string response;
     bool respond_ok = false;
@@ -382,24 +371,24 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
       std::string result = Execute(request, token.get(), trace.get());
       cache_.Put(key, result);
       respond_ok = true;
-      Respond(request, id, result, false, trace.get(), done);
+      Respond(request, result, false, trace.get(), done);
     } catch (const CancelledError&) {
       Counters().deadline_exceeded.Increment();
       Counters().errors.Increment();
       MetricsOf(request.kind).errors->Increment();
-      response = ErrorResponse(id, ErrorCode::kDeadlineExceeded,
+      response = ErrorResponse(request.id, ErrorCode::kDeadlineExceeded,
                                "query abandoned past its deadline");
     } catch (const ProtocolError& e) {
       Counters().errors.Increment();
       MetricsOf(request.kind).errors->Increment();
-      response = ErrorResponse(id, e.code(), e.what());
+      response = ErrorResponse(request.id, e.code(), e.what());
     } catch (const Error& e) {
       Counters().errors.Increment();
       MetricsOf(request.kind).errors->Increment();
       obs::Log(obs::LogLevel::kError, "serve", "query.internal_error")
           .Kv("op", ToString(request.kind))
           .Kv("error", e.what());
-      response = ErrorResponse(id, ErrorCode::kInternal, e.what());
+      response = ErrorResponse(request.id, ErrorCode::kInternal, e.what());
     }
     inflight_.fetch_sub(1, std::memory_order_relaxed);
     Counters().inflight.Set(inflight_.load(std::memory_order_relaxed));
@@ -412,17 +401,17 @@ void Dispatcher::Handle(const std::string& line, std::function<void(std::string)
     Counters().overloaded.Increment();
     Counters().errors.Increment();
     MetricsOf(request.kind).errors->Increment();
-    done(ErrorResponse(id, ErrorCode::kOverloaded,
+    done(ErrorResponse(request.id, ErrorCode::kOverloaded,
                        StrFormat("at the admission high-water mark (%zu queries in flight)",
                                  options_.max_inflight)));
   }
 }
 
-void Dispatcher::Respond(const Request& request, const Json& id, const std::string& result,
-                         bool cached, obs::RequestTrace* trace,
+void Dispatcher::Respond(const Request& request, const std::string& result, bool cached,
+                         obs::RequestTrace* trace,
                          const std::function<void(std::string)>& done) const {
   if (trace == nullptr) {
-    done(OkResponse(id, result, cached));
+    done(OkResponse(request.id, result, cached));
     return;
   }
   std::string timing;
@@ -432,7 +421,7 @@ void Dispatcher::Respond(const Request& request, const Json& id, const std::stri
     timing = trace->TimingJson().Dump();
     timing_ptr = &timing;
   }
-  done(OkResponse(id, result, cached, timing_ptr));
+  done(OkResponse(request.id, result, cached, timing_ptr));
   trace->Mark("write");
   if (slow_query_ms_ > 0 && trace->MarkedMs() >= static_cast<double>(slow_query_ms_)) {
     Counters().slow_queries.Increment();
@@ -619,7 +608,7 @@ std::string Dispatcher::ExecuteLeak(const Request& request, const CancelToken* c
   result["fraction_ases"] = outcome->fraction_ases_detoured;
   result["fraction_users"] = outcome->fraction_users_detoured;
   result["leaker"] = request.leaker;
-  result["model"] = request.model == LeakModel::kReannounce ? "reannounce" : "originate";
+  result["model"] = ToString(request.model);
   result["victim"] = request.victim;
   std::string out = result.Dump();
   if (trace != nullptr) trace->Mark("serialize");
@@ -632,17 +621,11 @@ std::string Dispatcher::ExecuteTop(const Request& request) const {
                         "no sweep store loaded (run flatnet_sweep, then start the "
                         "server with --sweep)");
   }
-  sweep::SweepColumn column = sweep::SweepColumn::kHierarchyFree;
-  switch (request.metric) {
-    case ReachMode::kProviderFree: column = sweep::SweepColumn::kProviderFree; break;
-    case ReachMode::kTier1Free: column = sweep::SweepColumn::kTier1Free; break;
-    case ReachMode::kHierarchyFree: column = sweep::SweepColumn::kHierarchyFree; break;
-    case ReachMode::kFull: break;  // rejected at parse time
-  }
+  sweep::SweepColumn column = request.metric;
   if (!sweep_store_.HasColumn(column)) {
     throw ProtocolError(ErrorCode::kBadRequest,
                         StrFormat("the loaded sweep store has no '%s' column",
-                                  ToString(request.metric)));
+                                  sweep::ToString(column)));
   }
 
   const std::vector<AsId>& ranking = sweep_rankings_[static_cast<std::size_t>(column)];
@@ -660,7 +643,7 @@ std::string Dispatcher::ExecuteTop(const Request& request) const {
   result["denominator"] =
       static_cast<std::uint64_t>(internet_.num_ases() > 0 ? internet_.num_ases() - 1 : 0);
   result["k"] = static_cast<std::uint64_t>(request.top_k);
-  result["metric"] = ToString(request.metric);
+  result["metric"] = sweep::ToString(column);
   result["top"] = std::move(top);
   return result.Dump();
 }
@@ -672,7 +655,7 @@ std::string Dispatcher::ExecuteLeakDist(const Request& request) const {
                         "the server with --leak)");
   }
   AsId victim = ResolveAsn(request.victim, "victim");
-  RequireOwned(victim, "leakdist");
+  RequireOwned(victim, ToString(request.kind));
   std::size_t cell_index =
       leak_store_.FindCell(victim, request.scenario, request.lock_mode, request.model);
   if (cell_index == leaksim::LeakStore::npos) {
@@ -680,9 +663,8 @@ std::string Dispatcher::ExecuteLeakDist(const Request& request) const {
         ErrorCode::kBadRequest,
         StrFormat("the loaded leak store has no cell for victim AS%u, scenario '%s', "
                   "lock_mode '%s', model '%s'",
-                  request.victim, ScenarioSlug(request.scenario),
-                  request.lock_mode == PeerLockMode::kFull ? "full" : "direct_only",
-                  request.model == LeakModel::kReannounce ? "reannounce" : "originate"));
+                  request.victim, kLeakScenarioSlugs.Name(request.scenario),
+                  ToString(request.lock_mode), ToString(request.model)));
   }
   const leaksim::LeakCellResult& cell = leak_store_.cell(cell_index);
 
@@ -690,11 +672,10 @@ std::string Dispatcher::ExecuteLeakDist(const Request& request) const {
   SetDistribution(leak_sorted_[cell_index], request.quantiles, result);
   result["attempts"] = static_cast<std::uint64_t>(cell.attempts);
   result["collected"] = static_cast<std::uint64_t>(cell.collected());
-  result["lock_mode"] =
-      request.lock_mode == PeerLockMode::kFull ? "full" : "direct_only";
-  result["model"] = request.model == LeakModel::kReannounce ? "reannounce" : "originate";
+  result["lock_mode"] = ToString(request.lock_mode);
+  result["model"] = ToString(request.model);
   result["requested"] = static_cast<std::uint64_t>(cell.spec.trials);
-  result["scenario"] = ScenarioSlug(request.scenario);
+  result["scenario"] = kLeakScenarioSlugs.Name(request.scenario);
   result["under_collected"] = cell.UnderCollected();
   result["victim"] = request.victim;
   return result.Dump();
@@ -707,7 +688,7 @@ std::string Dispatcher::ExecuteHegemony(const Request& request) const {
                         "server with --fail)");
   }
   AsId origin = ResolveAsn(request.origin, "origin");
-  RequireOwned(origin, "hegemony");
+  RequireOwned(origin, ToString(request.kind));
   auto it = hegemony_rankings_.find(origin);
   if (it == hegemony_rankings_.end()) {
     throw ProtocolError(ErrorCode::kBadRequest,
@@ -742,7 +723,7 @@ std::string Dispatcher::ExecuteFailure(const Request& request) const {
                         "server with --fail)");
   }
   AsId origin = ResolveAsn(request.origin, "origin");
-  RequireOwned(origin, "failure");
+  RequireOwned(origin, ToString(request.kind));
   std::size_t cell_index = fail_store_.FindCell(origin, request.fail_scenario);
   if (cell_index == failsim::FailStore::npos) {
     throw ProtocolError(
@@ -775,23 +756,6 @@ std::string Dispatcher::ExecuteFailure(const Request& request) const {
   result["severity"] = cell.spec.severity;
   result["under_collected"] = cell.UnderCollected();
   return result.Dump();
-}
-
-std::string Dispatcher::ExecuteMetrics(const Request& request) const {
-  Json result = Json::MakeObject();
-  if (request.prometheus) {
-    result["content_type"] = "text/plain; version=0.0.4";
-    result["format"] = "prometheus";
-    result["text"] = obs::RenderPrometheusText();
-  } else {
-    result["format"] = "json";
-    result["metrics"] = obs::ObservabilitySnapshot();
-  }
-  return result.Dump();
-}
-
-std::string Dispatcher::ExecuteDebug(const Request& request) const {
-  return obs::RecorderJson(request.debug_n).Dump();
 }
 
 std::string Dispatcher::StatusResult() {

@@ -74,6 +74,10 @@ struct DispatcherOptions {
   std::size_t ring_vnodes = fleet::kDefaultVnodes;
 };
 
+// The `result` of a `metrics` request: this process's own metrics
+// registry. The dispatcher and the fleet router both answer it locally.
+std::string MetricsResult(const Request& request);
+
 class Dispatcher {
  public:
   // `internet` must outlive the dispatcher; queries only read it.
@@ -145,8 +149,6 @@ class Dispatcher {
                           obs::RequestTrace* trace) const;
   std::string ExecuteTop(const Request& request) const;
   std::string ExecuteLeakDist(const Request& request) const;
-  std::string ExecuteMetrics(const Request& request) const;
-  std::string ExecuteDebug(const Request& request) const;
   std::string ExecuteHegemony(const Request& request) const;
   std::string ExecuteFailure(const Request& request) const;
   std::string StatusResult();
@@ -154,9 +156,8 @@ class Dispatcher {
   // Delivers a successful response: attaches the timing field when the
   // request opted in, then applies the slow-query threshold to the full
   // timeline (including the write itself).
-  void Respond(const Request& request, const Json& id, const std::string& result,
-               bool cached, obs::RequestTrace* trace,
-               const std::function<void(std::string)>& done) const;
+  void Respond(const Request& request, const std::string& result, bool cached,
+               obs::RequestTrace* trace, const std::function<void(std::string)>& done) const;
 
   AsId ResolveAsn(Asn asn, const char* field) const;
   Bitset ResolveAsnList(const std::vector<Asn>& asns) const;

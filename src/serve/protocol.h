@@ -5,7 +5,10 @@
 // parameters; responses echo the client-chosen `id` verbatim so a pipelined
 // client can match them out of order.
 //
-// Request grammar (unknown keys are rejected so typos fail loudly):
+// Request grammar. This header is its one definition: protocol.cc reads
+// every request key through one table row and every enum value through
+// the name tables below, and flatnet_serve and flatnet_router both parse
+// with ParseRequest.
 //
 //   {"op":"reach","origin":<asn>,            hierarchy-free reachability
 //    "mode":"full"|"provider_free"|"tier1_free"|"hierarchy_free",
@@ -52,6 +55,17 @@
 // the server-side phase timeline. It never affects the result (or the
 // cache key); the response merely gains a `timing` field.
 //
+// Parse rules. A line is rejected with `bad_request` (`unknown_op` for an
+// unknown op), naming the first fault, when it is not JSON, nests arrays
+// and objects deeper than Json::kMaxDepth, repeats a key, is not an
+// object, or lacks a string `op`; when it carries a key its op does not
+// take (an unknown key, or another op's key: typos fail loudly); when a
+// value is out of range (ASNs in [1, 2^32), `k` and `n` in [1, 100000],
+// `deadline_ms` in [1, kMaxDeadlineMs], quantiles in [0, 1]); or when a
+// required field is missing. Keys are checked in sorted order, required
+// fields after them. An error echoes the line's `id` whenever the line is
+// a JSON object.
+//
 // Responses:
 //   {"cached":<bool>,"id":<echo>,"ok":true,"result":{...}}
 //   {"cached":...,"id":...,"ok":true,"result":{...},"timing":{"phases":
@@ -79,8 +93,10 @@
 #include "bgp/policy.h"
 #include "core/leak_scenarios.h"
 #include "failsim/store.h"
+#include "sweep/store.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/names.h"
 
 namespace flatnet::serve {
 
@@ -94,7 +110,10 @@ enum class ErrorCode : std::uint8_t {
   kInternal,
 };
 
-const char* ToString(ErrorCode code);
+inline constexpr NameTable<ErrorCode, 7> kErrorCodeNames{
+    {"bad_request", "unknown_op", "unknown_asn", "overloaded", "deadline_exceeded",
+     "unavailable", "internal"}};
+inline const char* ToString(ErrorCode code) { return kErrorCodeNames.Name(code); }
 
 // A request that cannot be served as asked; the dispatcher renders it as a
 // structured error response instead of tearing the connection down.
@@ -123,12 +142,16 @@ enum class QueryKind : std::uint8_t {
 
 inline constexpr std::size_t kNumQueryKinds = 10;
 
+// The `op` spellings.
+inline constexpr NameTable<QueryKind, kNumQueryKinds> kQueryKindNames{
+    {"reach", "reliance", "leak", "status", "top", "leakdist", "metrics", "debug", "hegemony",
+     "failure"}};
+inline const char* ToString(QueryKind kind) { return kQueryKindNames.Name(kind); }
+
 // The longest `deadline_ms` a request may carry. The daemons' millisecond
 // time flags share the cap, so no deadline, timeout or hedge delay they
 // add to steady_clock::now() can overflow the clock.
 inline constexpr std::int64_t kMaxDeadlineMs = 3'600'000;
-
-const char* ToString(QueryKind kind);
 
 // Which baseline exclusion set a reach query starts from (§6's nested
 // metrics); user-supplied `excluded` ASes are unioned on top.
@@ -139,7 +162,16 @@ enum class ReachMode : std::uint8_t {
   kHierarchyFree,  // reach(o, I \ Po \ T1 \ T2)
 };
 
-const char* ToString(ReachMode mode);
+// The nested modes are spelled as the sweep columns that store them.
+inline constexpr NameTable<ReachMode, 4> kReachModeNames{
+    {"full", sweep::kSweepColumnNames.names[0], sweep::kSweepColumnNames.names[1],
+     sweep::kSweepColumnNames.names[2]}};
+inline const char* ToString(ReachMode mode) { return kReachModeNames.Name(mode); }
+
+// The columns `top` ranks by: the three reach columns ("full" names no
+// stored column).
+inline constexpr NameTable<sweep::SweepColumn, 3> kTopMetricNames =
+    sweep::kSweepColumnNames.First<3>();
 
 // Which per-trial damage column a `failure` query reports percentiles of.
 enum class FailColumn : std::uint8_t {
@@ -148,10 +180,22 @@ enum class FailColumn : std::uint8_t {
   kLossUsers,     // user-weighted collateral fraction (has_users stores)
 };
 
-const char* ToString(FailColumn column);
+inline constexpr NameTable<FailColumn, 3> kFailColumnNames{
+    {"loss_ases", "disconnected", "loss_users"}};
+inline const char* ToString(FailColumn column) { return kFailColumnNames.Name(column); }
+
+// How a `metrics` request wants the registry rendered.
+enum class MetricsFormat : std::uint8_t {
+  kJson,        // the snapshot object
+  kPrometheus,  // the text exposition, wrapped in a string
+};
+
+inline constexpr NameTable<MetricsFormat, 2> kMetricsFormatNames{{"json", "prometheus"}};
+inline const char* ToString(MetricsFormat format) { return kMetricsFormatNames.Name(format); }
 
 // One parsed, canonicalized request. AS lists are sorted and deduplicated
-// at parse time so equal queries produce equal cache keys.
+// at parse time so equal queries produce equal cache keys. An ASN field
+// holds 0 until the request sets it (0 is never a valid ASN).
 struct Request {
   QueryKind kind = QueryKind::kStatus;
   Json id;                       // echoed verbatim; null when absent
@@ -159,23 +203,22 @@ struct Request {
   // Opt-in phase timeline in the response (any op); never part of the
   // cache key — timing describes this request, not the result.
   bool timing = false;
-  // metrics: render the Prometheus text exposition instead of JSON.
-  bool prometheus = false;
+  // metrics: how to render the registry.
+  MetricsFormat format = MetricsFormat::kJson;
   // debug: newest flight-recorder events to return.
   std::size_t debug_n = 256;
 
-  // reach / reliance
+  // reach / reliance / hegemony / failure
   Asn origin = 0;
   // reach
   ReachMode mode = ReachMode::kHierarchyFree;
   std::vector<Asn> excluded;
   std::vector<Asn> peer_locked;
   PeerLockMode lock_mode = PeerLockMode::kFull;
-  // reliance / top
+  // reliance / top / hegemony
   std::size_t top_k = 10;
-  // top: which sweep column to rank by (reuses ReachMode minus "full",
-  // which names no stored column and is rejected at parse time).
-  ReachMode metric = ReachMode::kHierarchyFree;
+  // top: which sweep column to rank by.
+  sweep::SweepColumn metric = sweep::SweepColumn::kHierarchyFree;
   // leak / leakdist
   Asn victim = 0;
   Asn leaker = 0;
@@ -189,13 +232,11 @@ struct Request {
   FailColumn fail_column = FailColumn::kLossAses;
 };
 
-// Parses one request line (JSON text). Throws ProtocolError on malformed
-// JSON, unknown op, unknown/duplicate keys, or out-of-range values.
-Request ParseRequest(std::string_view line);
-
-// Same, from an already-parsed document (lets the dispatcher recover the
-// `id` of a semantically invalid request for its error response).
-Request RequestFromJson(const Json& doc);
+// Parses one request line (JSON text) into a default-constructed
+// `request`, or throws ProtocolError by the parse rules above. The line's
+// `id` lands in `request.id` before any field is checked, so the caller's
+// error response can echo it. The one parser both daemons call.
+void ParseRequest(std::string_view line, Request& request);
 
 // Canonical result-cache key: everything that affects the result — kind,
 // origin(s), canonicalized option sets — and nothing that does not (id,

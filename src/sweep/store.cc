@@ -43,18 +43,6 @@ std::string Serialize(const SweepTable& table) {
 
 }  // namespace
 
-const char* ToString(SweepColumn c) {
-  switch (c) {
-    case SweepColumn::kProviderFree: return "provider_free";
-    case SweepColumn::kTier1Free: return "tier1_free";
-    case SweepColumn::kHierarchyFree: return "hierarchy_free";
-    case SweepColumn::kPathOneHop: return "path_one_hop";
-    case SweepColumn::kPathTwoHops: return "path_two_hops";
-    case SweepColumn::kPathThreePlus: return "path_three_plus";
-  }
-  return "unknown";
-}
-
 const std::vector<std::uint32_t>& SweepTable::Column(SweepColumn c) const {
   if (!HasColumn(c)) {
     throw InvalidArgument(StrFormat("SweepTable: column %s not present", ToString(c)));

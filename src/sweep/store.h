@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/internet.h"
+#include "util/names.h"
 
 namespace flatnet::sweep {
 
@@ -52,7 +53,12 @@ inline constexpr std::uint32_t kPathColumns = ColumnBit(SweepColumn::kPathOneHop
                                               ColumnBit(SweepColumn::kPathTwoHops) |
                                               ColumnBit(SweepColumn::kPathThreePlus);
 
-const char* ToString(SweepColumn c);
+// The first three double as the serve protocol's reach `mode` and `top`
+// `metric` spellings.
+inline constexpr NameTable<SweepColumn, kNumSweepColumns> kSweepColumnNames{
+    {"provider_free", "tier1_free", "hierarchy_free", "path_one_hop", "path_two_hops",
+     "path_three_plus"}};
+inline const char* ToString(SweepColumn c) { return kSweepColumnNames.Name(c); }
 
 // In-memory sweep result: one dense u32 vector per present column.
 struct SweepTable {

@@ -55,8 +55,17 @@ class Parser {
     SkipWhitespace();
     char c = Peek();
     switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
+      case '{':
+      case '[': {
+        // The parse recurses once per level; the cap bounds its stack.
+        if (depth_ == Json::kMaxDepth) {
+          Fail(StrFormat("nesting deeper than %d levels", Json::kMaxDepth));
+        }
+        ++depth_;
+        Json value = c == '{' ? ParseObject() : ParseArray();
+        --depth_;
+        return value;
+      }
       case '"': return Json(ParseString());
       case 't':
         if (ConsumeLiteral("true")) return Json(true);
@@ -81,10 +90,15 @@ class Parser {
     }
     while (true) {
       SkipWhitespace();
+      std::size_t key_at = pos_;
       std::string key = ParseString();
+      if (object.contains(key)) {
+        pos_ = key_at;
+        Fail("duplicate key '" + key + "'");
+      }
       SkipWhitespace();
       Expect(':');
-      object[std::move(key)] = ParseValue();
+      object.emplace(std::move(key), ParseValue());
       SkipWhitespace();
       char c = Peek();
       if (c == ',') {
@@ -201,6 +215,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 void EscapeInto(const std::string& s, std::string& out) {
@@ -305,7 +320,10 @@ double Json::AsNumber() const {
 
 std::uint64_t Json::AsU64() const {
   double n = AsNumber();
-  if (n < 0 || std::floor(n) != n) throw InvalidArgument("Json: not a non-negative integer");
+  // 0x1p64 is 2^64, the first double no uint64_t holds.
+  if (n < 0 || std::floor(n) != n || n >= 0x1p64) {
+    throw InvalidArgument("Json: not an integer in [0, 2^64)");
+  }
   return static_cast<std::uint64_t>(n);
 }
 

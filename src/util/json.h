@@ -1,9 +1,11 @@
 // Minimal JSON value, parser, and writer.
 //
-// Used for the PeeringDB-style snapshots (data/peeringdb.h). Supports the
-// full JSON grammar (objects, arrays, strings with escapes incl. \uXXXX for
-// the BMP, numbers, booleans, null); numbers are stored as doubles, which
-// is lossless for the 32-bit ids and ASNs the datasets carry.
+// Used for the PeeringDB-style snapshots (data/peeringdb.h) and for every
+// request line the serve daemons read (serve/protocol.h), so Parse must
+// turn any input into a value or a ParseError. Supports the full JSON
+// grammar (objects, arrays, strings with escapes incl. \uXXXX for the BMP,
+// numbers, booleans, null); numbers are stored as doubles, which is
+// lossless for the 32-bit ids and ASNs the datasets carry.
 #ifndef FLATNET_UTIL_JSON_H_
 #define FLATNET_UTIL_JSON_H_
 
@@ -46,7 +48,7 @@ class Json {
   // Checked accessors; throw InvalidArgument on type mismatch.
   bool AsBool() const;
   double AsNumber() const;
-  std::uint64_t AsU64() const;  // rejects negatives and non-integers
+  std::uint64_t AsU64() const;  // rejects non-integers and values outside [0, 2^64)
   const std::string& AsString() const;
   const Array& AsArray() const;
   const Object& AsObject() const;
@@ -63,8 +65,13 @@ class Json {
   const Json& Get(const std::string& key) const;
   bool Contains(const std::string& key) const;
 
+  // Arrays and objects nest at most this deep in a parsed document: the
+  // parser recurses once per level, so the cap bounds its stack use.
+  static constexpr int kMaxDepth = 256;
+
   // Parses a complete JSON document (trailing garbage is an error). Throws
-  // ParseError with byte offsets on malformed input.
+  // ParseError with the byte offset on malformed input, on a repeated key
+  // within one object, and on nesting deeper than kMaxDepth.
   static Json Parse(std::string_view text);
 
   // Serializes. indent < 0 => compact; otherwise pretty-print with that

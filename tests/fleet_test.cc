@@ -588,6 +588,30 @@ TEST_F(FleetRouterTest, RoutesMergesFailsOverAndHeals) {
   }
 }
 
+// The router parses every line itself before routing it, so a line nested
+// past Json::kMaxDepth must end in bad_request there too.
+TEST_F(FleetRouterTest, DeepNestingIsABadRequestAndStatusStillAnswers) {
+  std::unique_ptr<Dispatcher> backend = MakeShard(0, 1, /*with_sweep=*/false);
+  serve::Server server(*backend, serve::ServerOptions{});
+  std::thread serving([&] { server.Run(); });
+  fleet::RouterOptions options;
+  options.backends = {fleet::ParseBackendAddress(StrFormat("127.0.0.1:%u", server.port()))};
+  fleet::FleetRouter router(options);
+  router.Start();
+
+  std::string line(serve::ServerOptions{}.max_line_bytes - 1, '[');
+  EXPECT_EQ(router.HandleSync(line),
+            R"({"error":{"code":"bad_request","message":"malformed JSON: JSON parse error )"
+            R"(at offset 256: nesting deeper than 256 levels"},"id":null,"ok":false})");
+  Json status = Json::Parse(router.HandleSync(R"({"op":"status","id":"s"})"));
+  EXPECT_TRUE(status.Get("ok").AsBool());
+  EXPECT_EQ(status.Get("result").Get("fleet").Get("alive").AsU64(), 1u);
+
+  router.Stop();
+  server.RequestShutdown();
+  serving.join();
+}
+
 TEST(FleetHedging, FirstArrivalWinsAndLoserIsAbandoned) {
   // Two canned backends: shard 0 sleeps well past the hedge delay, shard 1
   // answers immediately. Both answer the router's status probe at once so

@@ -93,5 +93,41 @@ TEST(Json, DeepNesting) {
   EXPECT_DOUBLE_EQ(cursor->AsNumber(), 7.0);
 }
 
+// The parser recurses once per level, so past the cap it must refuse
+// rather than overflow the stack; the serve daemons parse every client
+// line with it.
+TEST(Json, NestingPastTheCapIsAParseError) {
+  std::string open(Json::kMaxDepth, '[');
+  std::string close(Json::kMaxDepth, ']');
+  EXPECT_NO_THROW(Json::Parse(open + close));
+  try {
+    Json::Parse(open + "{\"a\":1}" + close);
+    ADD_FAILURE() << "nesting past the cap parsed";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 256: nesting deeper than 256 levels");
+  }
+  EXPECT_THROW(Json::Parse(std::string(300'000, '[')), ParseError);
+  EXPECT_THROW(Json::Parse(std::string(300'000, '{')), ParseError);
+}
+
+TEST(Json, RepeatedKeyIsAParseError) {
+  try {
+    Json::Parse(R"({"op":"status","op":"reach"})");
+    ADD_FAILURE() << "a repeated key parsed";
+  } catch (const ParseError& e) {
+    EXPECT_STREQ(e.what(), "JSON parse error at offset 15: duplicate key 'op'");
+  }
+  EXPECT_THROW(Json::Parse(R"([{"a":1,"b":{"a":2},"a":3}])"), ParseError);
+  // The same key in sibling or nested objects is no repeat.
+  EXPECT_NO_THROW(Json::Parse(R"([{"a":1},{"a":2,"b":{"a":3}}])"));
+}
+
+TEST(Json, AsU64RejectsValuesPastTwoToThe64) {
+  EXPECT_THROW(Json::Parse("1e300").AsU64(), InvalidArgument);
+  EXPECT_THROW(Json::Parse("18446744073709551616").AsU64(), InvalidArgument);
+  // The largest double below 2^64 still converts exactly.
+  EXPECT_EQ(Json::Parse("18446744073709549568").AsU64(), 18446744073709549568ull);
+}
+
 }  // namespace
 }  // namespace flatnet

@@ -45,12 +45,18 @@ using serve::CacheKey;
 using serve::Dispatcher;
 using serve::DispatcherOptions;
 using serve::ErrorCode;
-using serve::ParseRequest;
 using serve::ProtocolError;
 using serve::QueryKind;
 using serve::ReachMode;
 using serve::Request;
 using serve::ResultCache;
+
+// ParseRequest into a fresh Request.
+Request ParseRequest(std::string_view line) {
+  Request request;
+  serve::ParseRequest(line, request);
+  return request;
+}
 
 ErrorCode CodeOf(const std::function<void()>& fn) {
   try {
@@ -104,12 +110,12 @@ TEST(ServeProtocol, ParsesTopRequests) {
   Request request = ParseRequest(R"({"op":"top","k":5,"metric":"tier1_free","id":1})");
   EXPECT_EQ(request.kind, QueryKind::kTop);
   EXPECT_EQ(request.top_k, 5u);
-  EXPECT_EQ(request.metric, ReachMode::kTier1Free);
+  EXPECT_EQ(request.metric, sweep::SweepColumn::kTier1Free);
 
   // Defaults: k=10, hierarchy-free.
   Request bare = ParseRequest(R"({"op":"top"})");
   EXPECT_EQ(bare.top_k, 10u);
-  EXPECT_EQ(bare.metric, ReachMode::kHierarchyFree);
+  EXPECT_EQ(bare.metric, sweep::SweepColumn::kHierarchyFree);
 
   // "full" names no sweep column; unknown fields fail loudly; `top` is
   // inline and takes no deadline.
@@ -155,9 +161,11 @@ TEST(ServeProtocol, ResponseEnvelopeEmbedsResultVerbatim) {
 TEST(ServeProtocol, ParsesMetricsDebugAndTimingKeys) {
   Request metrics = ParseRequest(R"({"op":"metrics","id":1})");
   EXPECT_EQ(metrics.kind, QueryKind::kMetrics);
-  EXPECT_FALSE(metrics.prometheus);
-  EXPECT_TRUE(ParseRequest(R"({"op":"metrics","format":"prometheus"})").prometheus);
-  EXPECT_FALSE(ParseRequest(R"({"op":"metrics","format":"json"})").prometheus);
+  EXPECT_EQ(metrics.format, serve::MetricsFormat::kJson);
+  EXPECT_EQ(ParseRequest(R"({"op":"metrics","format":"prometheus"})").format,
+            serve::MetricsFormat::kPrometheus);
+  EXPECT_EQ(ParseRequest(R"({"op":"metrics","format":"json"})").format,
+            serve::MetricsFormat::kJson);
   EXPECT_EQ(CodeOf([] { ParseRequest(R"({"op":"metrics","format":"xml"})"); }),
             ErrorCode::kBadRequest);
 
@@ -198,6 +206,212 @@ TEST(ServeProtocol, TimingFieldAppendsAfterResultKeepingSortedKeys) {
   // A null timing pointer produces the exact untraced envelope.
   EXPECT_EQ(serve::OkResponse(Json(7), "{\"reachable\":12}", false, nullptr),
             serve::OkResponse(Json(7), "{\"reachable\":12}", false));
+}
+
+// One bad request line per parse rule, each with the whole response it
+// must get: error code, message and the echoed `id`. `message` is written
+// as it appears inside the JSON string.
+TEST(ServeProtocol, ErrorTextIsPinned) {
+  GeneratorParams params = GeneratorParams::Era2015(200);
+  params.seed = 5;
+  World w = GenerateWorld(params);
+  Internet internet(w.full_graph, w.tiers, w.metadata);
+  Dispatcher dispatcher(internet, DispatcherOptions{.threads = 1});
+
+  struct Case {
+    const char* line;
+    const char* code;
+    const char* message;
+    const char* id;  // the echoed id, as JSON
+  };
+  const Case cases[] = {
+      // The line itself.
+      {"", "bad_request",
+       "malformed JSON: JSON parse error at offset 0: unexpected end of input", "null"},
+      {"{not json", "bad_request",
+       "malformed JSON: JSON parse error at offset 1: expected '\\\"'", "null"},
+      {R"(["op","status"])", "bad_request", "request must be a JSON object", "null"},
+      {R"({"id":1})", "bad_request", "missing string field 'op'", "1"},
+      {R"({"op":7,"id":"a"})", "bad_request", "missing string field 'op'", "\"a\""},
+      {R"({"op":"frobnicate","id":{"n":[1,2]}})", "unknown_op", "unknown op 'frobnicate'",
+       R"({"n":[1,2]})"},
+
+      // Unknown and cross-op keys, one pair per op. The id echoes even
+      // when the bad key sorts before it.
+      {R"({"op":"reach","origin":1,"bogus":1,"id":3})", "bad_request",
+       "unknown field 'bogus' for op 'reach'", "3"},
+      {R"({"op":"reach","origin":1,"k":5,"id":3})", "bad_request",
+       "unknown field 'k' for op 'reach'", "3"},
+      {R"({"op":"reliance","origin":1,"typo":1})", "bad_request",
+       "unknown field 'typo' for op 'reliance'", "null"},
+      {R"({"op":"reliance","origin":1,"victim":3})", "bad_request",
+       "unknown field 'victim' for op 'reliance'", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"zzz":0})", "bad_request",
+       "unknown field 'zzz' for op 'leak'", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"origin":3})", "bad_request",
+       "unknown field 'origin' for op 'leak'", "null"},
+      {R"({"op":"top","bogus":true})", "bad_request", "unknown field 'bogus' for op 'top'",
+       "null"},
+      {R"({"op":"top","deadline_ms":100})", "bad_request",
+       "unknown field 'deadline_ms' for op 'top'", "null"},
+      {R"({"op":"leakdist","victim":7,"bogus":1})", "bad_request",
+       "unknown field 'bogus' for op 'leakdist'", "null"},
+      {R"({"op":"leakdist","victim":7,"leaker":9})", "bad_request",
+       "unknown field 'leaker' for op 'leakdist'", "null"},
+      {R"({"op":"hegemony","origin":7,"bogus":1})", "bad_request",
+       "unknown field 'bogus' for op 'hegemony'", "null"},
+      {R"({"op":"hegemony","origin":7,"q":[0.5]})", "bad_request",
+       "unknown field 'q' for op 'hegemony'", "null"},
+      {R"({"op":"failure","origin":7,"bogus":1})", "bad_request",
+       "unknown field 'bogus' for op 'failure'", "null"},
+      {R"({"op":"failure","origin":7,"model":"originate"})", "bad_request",
+       "unknown field 'model' for op 'failure'", "null"},
+      {R"({"op":"status","bogus":1,"id":"s"})", "bad_request",
+       "unknown field 'bogus' for op 'status'", "\"s\""},
+      {R"({"op":"status","origin":1,"id":"s"})", "bad_request",
+       "unknown field 'origin' for op 'status'", "\"s\""},
+      {R"({"op":"metrics","bogus":1})", "bad_request", "unknown field 'bogus' for op 'metrics'",
+       "null"},
+      {R"({"op":"metrics","n":5})", "bad_request", "unknown field 'n' for op 'metrics'",
+       "null"},
+      {R"({"op":"debug","bogus":1})", "bad_request", "unknown field 'bogus' for op 'debug'",
+       "null"},
+      {R"({"op":"debug","format":"json"})", "bad_request",
+       "unknown field 'format' for op 'debug'", "null"},
+
+      // Each enum field's bad value; a non-string is as bad as a misspelling.
+      {R"({"op":"reach","origin":1,"mode":"upward","id":4})", "bad_request",
+       "'mode' must be one of full|provider_free|tier1_free|hierarchy_free", "4"},
+      {R"({"op":"reach","origin":1,"mode":3,"id":4})", "bad_request",
+       "'mode' must be one of full|provider_free|tier1_free|hierarchy_free", "4"},
+      {R"({"op":"reach","origin":1,"lock_mode":"half"})", "bad_request",
+       "'lock_mode' must be 'full' or 'direct_only'", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"model":"steal"})", "bad_request",
+       "'model' must be 'reannounce' or 'originate'", "null"},
+      {R"({"op":"leakdist","victim":1,"lock_mode":null})", "bad_request",
+       "'lock_mode' must be 'full' or 'direct_only'", "null"},
+      {R"({"op":"leakdist","victim":1,"model":1})", "bad_request",
+       "'model' must be 'reannounce' or 'originate'", "null"},
+      {R"({"op":"top","metric":"full"})", "bad_request",
+       "'metric' must be one of provider_free|tier1_free|hierarchy_free", "null"},
+      {R"({"op":"leakdist","victim":1,"scenario":"all"})", "bad_request",
+       "'scenario' must be one of none|t1|t1t2|global|hierarchy", "null"},
+      {R"({"op":"failure","origin":1,"scenario":"meteor"})", "bad_request",
+       "'scenario' must be one of single_as|tier1|hegemony_cascade|link_set", "null"},
+      {R"({"op":"failure","origin":1,"column":"vibes"})", "bad_request",
+       "'column' must be one of loss_ases|disconnected|loss_users", "null"},
+      {R"({"op":"metrics","format":"xml"})", "bad_request",
+       "'format' must be 'json' or 'prometheus'", "null"},
+
+      // Each integer field at 0, at its maximum + 1 and as a non-integer.
+      {R"({"op":"reach","origin":1,"deadline_ms":0})", "bad_request",
+       "'deadline_ms' must be in [1, 3600000]", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"deadline_ms":3600001})", "bad_request",
+       "'deadline_ms' must be in [1, 3600000]", "null"},
+      {R"({"op":"reliance","origin":1,"deadline_ms":2.5})", "bad_request",
+       "'deadline_ms' must be a positive integer", "null"},
+      {R"({"op":"reliance","origin":1,"k":0})", "bad_request", "'k' must be in [1, 100000]",
+       "null"},
+      {R"({"op":"reliance","origin":1,"k":100001})", "bad_request",
+       "'k' must be in [1, 100000]", "null"},
+      {R"({"op":"reliance","origin":1,"k":"5"})", "bad_request",
+       "'k' must be a positive integer", "null"},
+      {R"({"op":"top","k":0})", "bad_request", "'k' must be in [1, 100000]", "null"},
+      {R"({"op":"top","k":100001})", "bad_request", "'k' must be in [1, 100000]", "null"},
+      {R"({"op":"top","k":1.5})", "bad_request", "'k' must be a positive integer", "null"},
+      {R"({"op":"hegemony","origin":7,"k":0})", "bad_request", "'k' must be in [1, 100000]",
+       "null"},
+      {R"({"op":"hegemony","origin":7,"k":100001})", "bad_request",
+       "'k' must be in [1, 100000]", "null"},
+      {R"({"op":"hegemony","origin":7,"k":-1})", "bad_request",
+       "'k' must be a positive integer", "null"},
+      {R"({"op":"debug","n":0})", "bad_request", "'n' must be in [1, 100000]", "null"},
+      {R"({"op":"debug","n":100001})", "bad_request", "'n' must be in [1, 100000]", "null"},
+      {R"({"op":"debug","n":true})", "bad_request", "'n' must be a positive integer", "null"},
+      {R"({"op":"reach","origin":0})", "bad_request", "'origin' is out of ASN range", "null"},
+      {R"({"op":"reliance","origin":4294967296})", "bad_request",
+       "'origin' is out of ASN range", "null"},
+      {R"({"op":"failure","origin":1.5})", "bad_request",
+       "'origin' must be a non-negative integer ASN", "null"},
+      {R"({"op":"leakdist","victim":0})", "bad_request", "'victim' is out of ASN range",
+       "null"},
+      {R"({"op":"leak","victim":4294967296,"leaker":2})", "bad_request",
+       "'victim' is out of ASN range", "null"},
+      {R"({"op":"leak","victim":1,"leaker":"2"})", "bad_request",
+       "'leaker' must be a non-negative integer ASN", "null"},
+      {R"({"op":"leak","victim":1,"leaker":0})", "bad_request", "'leaker' is out of ASN range",
+       "null"},
+      {R"({"op":"leak","victim":1,"leaker":4294967296})", "bad_request",
+       "'leaker' is out of ASN range", "null"},
+      {R"({"op":"leakdist","victim":2.5})", "bad_request",
+       "'victim' must be a non-negative integer ASN", "null"},
+      {R"({"op":"reach","origin":1,"excluded":5})", "bad_request",
+       "'excluded' must be an array", "null"},
+      {R"({"op":"reach","origin":1,"excluded":[3,0]})", "bad_request",
+       "'excluded' is out of ASN range", "null"},
+      {R"({"op":"reach","origin":1,"excluded":[4294967296]})", "bad_request",
+       "'excluded' is out of ASN range", "null"},
+      {R"({"op":"reach","origin":1,"excluded":["x"]})", "bad_request",
+       "'excluded' must be a non-negative integer ASN", "null"},
+      {R"({"op":"reach","origin":1,"peer_locked":[0]})", "bad_request",
+       "'peer_locked' is out of ASN range", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"peer_locked":[4294967296]})", "bad_request",
+       "'peer_locked' is out of ASN range", "null"},
+      {R"({"op":"leak","victim":1,"leaker":2,"peer_locked":[1.5]})", "bad_request",
+       "'peer_locked' must be a non-negative integer ASN", "null"},
+      {R"({"op":"reach","origin":1,"peer_locked":{}})", "bad_request",
+       "'peer_locked' must be an array", "null"},
+
+      // Missing required fields, and a leak that leaks to its own victim.
+      {R"({"op":"reach","id":5})", "bad_request", "missing required field 'origin'", "5"},
+      {R"({"op":"reliance","k":3})", "bad_request", "missing required field 'origin'", "null"},
+      {R"({"op":"hegemony"})", "bad_request", "missing required field 'origin'", "null"},
+      {R"({"op":"failure","column":"disconnected"})", "bad_request",
+       "missing required field 'origin'", "null"},
+      {R"({"op":"leak","victim":1})", "bad_request", "leak requires both 'victim' and 'leaker'",
+       "null"},
+      {R"({"op":"leak","leaker":2})", "bad_request", "leak requires both 'victim' and 'leaker'",
+       "null"},
+      {R"({"op":"leakdist","scenario":"t1"})", "bad_request",
+       "missing required field 'victim'", "null"},
+      {R"({"op":"leak","victim":4,"leaker":4,"id":6})", "bad_request",
+       "victim and leaker must differ", "6"},
+
+      // Quantile lists and the timing flag.
+      {R"({"op":"leakdist","victim":1,"q":0.5})", "bad_request",
+       "'q' must be an array of 1 to 32 quantiles", "null"},
+      {R"({"op":"leakdist","victim":1,"q":[]})", "bad_request",
+       "'q' must be an array of 1 to 32 quantiles", "null"},
+      {R"({"op":"failure","origin":1,"q":["a"]})", "bad_request", "'q' entries must be numbers",
+       "null"},
+      {R"({"op":"leakdist","victim":1,"q":[0.5,1.5]})", "bad_request",
+       "'q' entries must be in [0, 1]", "null"},
+      {R"({"op":"failure","origin":1,"q":[-0.5]})", "bad_request",
+       "'q' entries must be in [0, 1]", "null"},
+      {R"({"op":"status","timing":1,"id":8})", "bad_request", "'timing' must be a boolean",
+       "8"},
+      {R"({"op":"reach","origin":1,"timing":"yes"})", "bad_request",
+       "'timing' must be a boolean", "null"},
+
+      // Keys are checked in sorted order, required fields after them all.
+      {R"({"op":"reach","origin":0,"mode":"x"})", "bad_request",
+       "'mode' must be one of full|provider_free|tier1_free|hierarchy_free", "null"},
+      {R"({"op":"leak","victim":5,"leaker":5,"model":"x"})", "bad_request",
+       "'model' must be 'reannounce' or 'originate'", "null"},
+      {R"({"op":"reliance","k":0,"deadline_ms":0})", "bad_request",
+       "'deadline_ms' must be in [1, 3600000]", "null"},
+  };
+  for (const Case& c : cases) {
+    std::string want = StrFormat(R"({"error":{"code":"%s","message":"%s"},"id":%s,"ok":false})",
+                                 c.code, c.message, c.id);
+    EXPECT_EQ(dispatcher.HandleSync(c.line), want) << c.line;
+  }
+  // 33 quantiles, one past the cap.
+  std::string many_q = R"({"op":"failure","origin":1,"q":[0)";
+  for (int i = 0; i < 32; ++i) many_q += ",0";
+  EXPECT_EQ(dispatcher.HandleSync(many_q + "]}"),
+            R"({"error":{"code":"bad_request","message":"'q' must be an array of 1 to 32 )"
+            R"(quantiles"},"id":null,"ok":false})");
 }
 
 TEST(ServeCache, EvictsColdEntriesUnderByteBudget) {
@@ -911,6 +1125,33 @@ TEST_F(ServeDispatchTest, ErrorsCarryStructuredCodes) {
   Json excluded_origin = Ask(StrFormat(
       R"({"op":"reach","origin":%u,"excluded":[%u],"id":4})", AsnAt(5), AsnAt(5)));
   EXPECT_EQ(excluded_origin.Get("error").Get("code").AsString(), "bad_request");
+}
+
+// A line of nothing but '[', just under the server's line cap, nests far
+// past Json::kMaxDepth: it gets bad_request and the daemon keeps serving.
+TEST_F(ServeDispatchTest, DeepNestingIsABadRequestAndStatusStillAnswers) {
+  std::string line(serve::ServerOptions{}.max_line_bytes - 1, '[');
+  EXPECT_EQ(dispatcher().HandleSync(line),
+            R"({"error":{"code":"bad_request","message":"malformed JSON: JSON parse error )"
+            R"(at offset 256: nesting deeper than 256 levels"},"id":null,"ok":false})");
+  EXPECT_TRUE(Ask(R"({"op":"status","id":"s"})").Get("ok").AsBool());
+}
+
+// A repeated key is malformed, not "last one wins" (which would run this
+// line as a reach).
+TEST_F(ServeDispatchTest, RepeatedKeyIsABadRequest) {
+  EXPECT_EQ(dispatcher().HandleSync(R"({"op":"status","op":"reach","origin":2,"id":1})"),
+            R"({"error":{"code":"bad_request","message":"malformed JSON: JSON parse error )"
+            R"(at offset 15: duplicate key 'op'"},"id":null,"ok":false})");
+}
+
+// A count past 2^64 fits no integer type; converting it would be undefined
+// behaviour.
+TEST_F(ServeDispatchTest, CountPastTwoToThe64IsABadRequest) {
+  std::string line = StrFormat(R"({"op":"reliance","origin":%u,"k":1e300,"id":2})", AsnAt(3));
+  EXPECT_EQ(dispatcher().HandleSync(line),
+            R"({"error":{"code":"bad_request","message":"'k' must be a positive integer"},)"
+            R"("id":2,"ok":false})");
 }
 
 TEST_F(ServeDispatchTest, AdmissionControlShedsLoadWhenSaturated) {

@@ -53,29 +53,6 @@ constexpr char kUsage[] =
     "       flatnet_failsim <stem> --hegemony --origin <asn> [--top N] [--trim F]\n"
     "                       [--log-level <level>] [--metrics-out <file>]\n";
 
-bool ParseScenarios(const std::string& list, std::vector<failsim::FailScenario>* out) {
-  out->clear();
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    std::size_t comma = list.find(',', start);
-    if (comma == std::string::npos) comma = list.size();
-    std::string name = list.substr(start, comma - start);
-    if (name == "single_as") {
-      out->push_back(failsim::FailScenario::kSingleAs);
-    } else if (name == "tier1") {
-      out->push_back(failsim::FailScenario::kTier1);
-    } else if (name == "hegemony_cascade") {
-      out->push_back(failsim::FailScenario::kHegemonyCascade);
-    } else if (name == "link_set") {
-      out->push_back(failsim::FailScenario::kLinkSet);
-    } else {
-      return false;
-    }
-    start = comma + 1;
-  }
-  return !out->empty();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,8 +100,11 @@ int main(int argc, char** argv) {
       } else if (args.Is("--users")) {
         use_users = true;
       } else if (args.Is("--scenarios")) {
-        if (!ParseScenarios(args.Value(), &scenarios)) {
-          throw cli::UsageError("--scenarios: unknown scenario in the list");
+        scenarios.clear();
+        for (std::string_view name : Split(args.Value(), ',')) {
+          auto scenario = failsim::kFailScenarioNames.Find(name);
+          if (!scenario) throw cli::UsageError("--scenarios: unknown scenario in the list");
+          scenarios.push_back(*scenario);
         }
       } else {
         stem = args.Positional();

@@ -51,12 +51,6 @@ constexpr char kUsage[] =
     "                       [--throttle-chunk-ms MS] [--max-chunks N]\n"
     "                       [--log-level <level>] [--metrics-out <file>]\n";
 
-constexpr LeakScenario kAllScenarios[kNumLeakScenarios] = {
-    LeakScenario::kAnnounceAll,           LeakScenario::kAnnounceAllLockT1,
-    LeakScenario::kAnnounceAllLockT1T2,   LeakScenario::kAnnounceAllLockGlobal,
-    LeakScenario::kAnnounceHierarchyOnly,
-};
-
 void WarnUnderCollected(Asn asn, LeakScenario scenario, std::size_t collected,
                         std::size_t requested, std::size_t attempts) {
   std::fprintf(stderr,
@@ -102,7 +96,8 @@ int main(int argc, char** argv) {
       } else if (args.Is("--users")) {
         use_users = true;
       } else if (args.Is("--lock")) {
-        scenario = kAllScenarios[args.Choice({"none", "t1", "t1t2", "global"})];
+        // The announce-to-all scenarios; --hierarchy-only names the fifth.
+        scenario = args.Choice(kLeakScenarioSlugs.First<4>());
       } else if (args.Is("--hierarchy-only")) {
         hierarchy_only = true;
       } else if (args.Is("--pre-erratum")) {
@@ -167,10 +162,10 @@ int main(int argc, char** argv) {
     std::vector<leaksim::LeakCellSpec> cells;
     cells.reserve(victim_ids.size() * kNumLeakScenarios);
     for (AsId victim : victim_ids) {
-      for (LeakScenario s : kAllScenarios) {
+      for (std::size_t s = 0; s < kNumLeakScenarios; ++s) {
         leaksim::LeakCellSpec spec;
         spec.victim = victim;
-        spec.scenario = s;
+        spec.scenario = static_cast<LeakScenario>(s);
         spec.lock_mode = mode;
         spec.seed = master.NextU64();  // == Rng::Fork per cell
         spec.trials = trials;

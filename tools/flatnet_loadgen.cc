@@ -70,6 +70,7 @@
 #include "core/graph_store.h"
 #include "core/serialize.h"
 #include "fleet/ring.h"
+#include "serve/protocol.h"
 #include "util/error.h"
 #include "util/json.h"
 #include "util/rng.h"
@@ -211,9 +212,6 @@ struct WorkerTally {
   std::uint64_t unavailable = 0;
 };
 
-const char* kModes[] = {"full", "provider_free", "tier1_free", "hierarchy_free"};
-const char* kMetrics[] = {"provider_free", "tier1_free", "hierarchy_free"};
-
 // What the server can answer, discovered by one preflight `status` probe.
 // Ops the server cannot serve (no sweep store → top, no fail store →
 // hegemony / failure) are left out of the request mix and recorded in
@@ -263,6 +261,12 @@ Capabilities ProbeCapabilities(const Json& status) {
   return caps;
 }
 
+// One of `table`'s spellings, drawn uniformly.
+template <typename Enum, std::size_t N>
+const char* RandomName(Rng& rng, const NameTable<Enum, N>& table) {
+  return table.names[rng.UniformU64(N)];
+}
+
 // Builds one request from the mix. Base: ~55% reach, 20% reliance, 15%
 // leak, 10% status. A loaded sweep store moves 10 points from reach to
 // `top`; a loaded fail store moves another 10 to `hegemony` / `failure`
@@ -287,8 +291,8 @@ std::string BuildRequest(Rng& rng, const std::vector<Asn>& asns,
     Asn o = origin();
     *key_asn = o;
     return StrFormat("{\"op\":\"reach\",\"origin\":%u,\"mode\":\"%s\",\"id\":%llu%s}", o,
-                     kModes[rng.UniformU64(4)], static_cast<unsigned long long>(id),
-                     timing_key);
+                     RandomName(rng, serve::kReachModeNames),
+                     static_cast<unsigned long long>(id), timing_key);
   }
   if (roll < hi + 20u) {
     Asn o = origin();
@@ -309,10 +313,13 @@ std::string BuildRequest(Rng& rng, const std::vector<Asn>& asns,
   if (caps.top) {
     hi += 10u;
     if (roll < hi) {
+      // Two draws, sequenced: as arguments of one call their order would be
+      // the compiler's choice, and so would the request mix.
+      const char* metric = RandomName(rng, serve::kTopMetricNames);
+      std::uint64_t k = 1 + rng.UniformU64(20);
       return StrFormat("{\"op\":\"top\",\"k\":%llu,\"metric\":\"%s\",\"id\":%llu%s}",
-                       static_cast<unsigned long long>(1 + rng.UniformU64(20)),
-                       kMetrics[rng.UniformU64(3)], static_cast<unsigned long long>(id),
-                       timing_key);
+                       static_cast<unsigned long long>(k), metric,
+                       static_cast<unsigned long long>(id), timing_key);
     }
   }
   if (caps.fail) {
@@ -326,16 +333,17 @@ std::string BuildRequest(Rng& rng, const std::vector<Asn>& asns,
     }
     hi += 5u;
     if (roll < hi) {
-      const char* column = caps.fail_users && rng.Bernoulli(0.33) ? "loss_users"
-                           : rng.Bernoulli(0.5)                   ? "disconnected"
-                                                                  : "loss_ases";
+      using serve::FailColumn;
+      FailColumn column = caps.fail_users && rng.Bernoulli(0.33) ? FailColumn::kLossUsers
+                          : rng.Bernoulli(0.5)                   ? FailColumn::kDisconnected
+                                                                 : FailColumn::kLossAses;
       Asn o = pick(caps.fail_origins);
       *key_asn = o;
       return StrFormat(
           "{\"op\":\"failure\",\"origin\":%u,\"scenario\":\"%s\",\"column\":\"%s\","
           "\"q\":[0.5,0.9],\"id\":%llu%s}",
           o, caps.fail_scenarios[rng.UniformU64(caps.fail_scenarios.size())].c_str(),
-          column, static_cast<unsigned long long>(id), timing_key);
+          serve::ToString(column), static_cast<unsigned long long>(id), timing_key);
     }
   }
   return StrFormat("{\"op\":\"status\",\"id\":%llu%s}", static_cast<unsigned long long>(id),
