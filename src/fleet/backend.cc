@@ -74,8 +74,16 @@ std::unique_ptr<BackendConn> BackendConn::Dial(const BackendAddress& address,
     ::close(fd);
     throw Error(StrFormat("backend '%s': bad address", address.host.c_str()));
   }
+  // A request leaves when it is written; see serve::Server::AcceptLoop for
+  // the stall Nagle would add. A failure costs latency only; keep the dial.
   int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    int err = errno;
+    obs::Log(obs::LogLevel::kWarn, "fleet", "backend.nodelay_failed")
+        .Kv("backend", address.ToString())
+        .Kv("errno", err)
+        .Kv("error", std::strerror(err));
+  }
 
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     if (errno != EINPROGRESS) {

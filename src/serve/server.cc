@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -184,6 +185,18 @@ void Server::AcceptLoop() {
       continue;
     }
     accepted.Increment();
+    // Without TCP_NODELAY, Nagle holds a reply while an earlier one on the
+    // connection is unacknowledged, and a pipelining client acknowledges
+    // with its next request: every reply would wait for the next request.
+    // Each reply is one whole line handed to one send, so nothing is lost
+    // by sending it at once. A failure costs latency only; keep serving.
+    int one = 1;
+    if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+      int err = errno;
+      obs::Log(obs::LogLevel::kWarn, "serve", "server.nodelay_failed")
+          .Kv("errno", err)
+          .Kv("error", std::strerror(err));
+    }
     auto connection = std::make_shared<Connection>();
     connection->fd = fd;
     {
@@ -198,7 +211,11 @@ void Server::AcceptLoop() {
 }
 
 void Server::ReadLoop(const ConnectionPtr& connection) {
-  std::string buffer;
+  // `line` holds the current line's bytes so far. Once it passes the cap,
+  // the rest of it is counted in `oversize` and dropped, never buffered,
+  // and its newline is answered with bad_request like any other bad line.
+  std::string line;
+  std::size_t oversize = 0;
   char chunk[4096];
   for (;;) {
     ssize_t n = ::recv(connection->fd, chunk, sizeof(chunk), 0);
@@ -208,25 +225,40 @@ void Server::ReadLoop(const ConnectionPtr& connection) {
     // `accept` phase then measures socket-to-dispatcher latency, including
     // time spent behind earlier lines of a pipelined batch.
     auto received_at = std::chrono::steady_clock::now();
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (;;) {
-      std::size_t newline = buffer.find('\n', start);
-      if (newline == std::string::npos) break;
-      std::string line = buffer.substr(start, newline - start);
-      start = newline + 1;
+    const char* data = chunk;
+    const char* end = chunk + n;
+    while (data < end) {
+      // Only the bytes this receive brought are scanned for the newline.
+      const char* newline = static_cast<const char*>(
+          std::memchr(data, '\n', static_cast<std::size_t>(end - data)));
+      std::size_t take = static_cast<std::size_t>((newline ? newline : end) - data);
+      if (oversize == 0 && line.size() + take <= options_.max_line_bytes) {
+        line.append(data, take);
+      } else {
+        oversize += line.size() + take;
+        line.clear();
+      }
+      if (newline == nullptr) break;
+      data = newline + 1;
+      if (oversize > 0) {
+        obs::Log(obs::LogLevel::kWarn, "serve", "server.line_too_long")
+            .Kv("bytes", static_cast<std::uint64_t>(oversize))
+            .Kv("max", static_cast<std::uint64_t>(options_.max_line_bytes));
+        oversize = 0;
+        WriteLine(connection,
+                  ErrorResponse(Json(), ErrorCode::kBadRequest,
+                                StrFormat("request line longer than %zu bytes",
+                                          options_.max_line_bytes)));
+        continue;
+      }
       if (!line.empty() && line.back() == '\r') line.pop_back();
-      if (line.empty()) continue;
-      handler_(
-          line,
-          [connection](std::string response) { WriteLine(connection, response); },
-          received_at);
-    }
-    buffer.erase(0, start);
-    if (buffer.size() > options_.max_line_bytes) {
-      obs::Log(obs::LogLevel::kWarn, "serve", "server.line_too_long")
-          .Kv("bytes", static_cast<std::uint64_t>(buffer.size()));
-      break;
+      if (!line.empty()) {
+        handler_(
+            line,
+            [connection](std::string response) { WriteLine(connection, response); },
+            received_at);
+      }
+      line.clear();
     }
   }
   connection->done_reading.store(true, std::memory_order_release);

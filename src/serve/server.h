@@ -7,6 +7,8 @@
 // in flatnet_router. Responses are written back under a per-connection
 // mutex — computed queries complete on pool threads, so replies to one
 // connection may interleave across requests (clients match on `id`).
+// Every accepted connection sets TCP_NODELAY, so a reply leaves when it is
+// ready instead of waiting for the client's next request to ack the last.
 //
 // Connections whose reader has finished are reaped on the acceptor's next
 // tick, so a churny client population does not grow the connection table
@@ -41,7 +43,9 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   // 0 = let the kernel pick an ephemeral port (read back via port()).
   std::uint16_t port = 0;
-  // Lines longer than this are a protocol violation; the connection drops.
+  // Longest request line served, in bytes before its '\n'. A longer line is
+  // answered with one `bad_request` (id null) naming the cap; its bytes are
+  // discarded up to its newline, never buffered, and the connection stays.
   std::size_t max_line_bytes = 1 << 20;
   // Live-connection cap; 0 = unlimited. Excess accepts receive one
   // `overloaded` error line and are closed immediately.

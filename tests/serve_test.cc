@@ -2,7 +2,9 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -1219,6 +1221,133 @@ TEST_F(ServeDispatchTest, ConcurrentHandleSyncCallsAllComplete) {
   EXPECT_EQ(bad.load(), 0);
 }
 
+// One loopback connection to a serve::Server: sends bytes, reads reply lines.
+class Client {
+ public:
+  explicit Client(std::uint16_t port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    EXPECT_GE(fd_, 0);
+    // Each Send leaves at once, so split lines reach the server split.
+    int one = 1;
+    EXPECT_EQ(::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)), 0);
+    // A missing reply fails the test instead of hanging it.
+    timeval timeout{.tv_sec = 30, .tv_usec = 0};
+    EXPECT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)), 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+        << std::strerror(errno);
+  }
+  ~Client() { ::close(fd_); }
+  Client(const Client&) = delete;
+  Client& operator=(const Client&) = delete;
+
+  int fd() const { return fd_; }
+
+  void Send(std::string_view bytes) {
+    while (!bytes.empty()) {
+      ssize_t n = ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      ASSERT_GT(n, 0) << std::strerror(errno);
+      bytes.remove_prefix(static_cast<std::size_t>(n));
+    }
+  }
+
+  // The next reply line without its '\n'; "<closed>" if the server hung up
+  // or sent nothing for 30 s.
+  std::string ReadLine() {
+    for (;;) {
+      std::size_t newline = pending_.find('\n');
+      if (newline != std::string::npos) {
+        std::string line = pending_.substr(0, newline);
+        pending_.erase(0, newline + 1);
+        return line;
+      }
+      char chunk[4096];
+      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return "<closed>";
+      pending_.append(chunk, static_cast<std::size_t>(n));
+    }
+  }
+
+ private:
+  int fd_;
+  std::string pending_;
+};
+
+// Runs `server` on a thread for the test's scope; stops and joins it after.
+class Serving {
+ public:
+  explicit Serving(serve::Server& server)
+      : server_(server), thread_([&server] { server.Run(); }) {}
+  ~Serving() {
+    server_.RequestShutdown();
+    thread_.join();
+  }
+
+ private:
+  serve::Server& server_;
+  std::thread thread_;
+};
+
+// The server's end of `client`, found among this process's own fds: the TCP
+// socket whose local port is `server_port` and whose peer is the client's
+// local address. -1 if there is none.
+int ServerEndOf(const Client& client, std::uint16_t server_port) {
+  sockaddr_in client_addr{};
+  socklen_t len = sizeof(client_addr);
+  if (::getsockname(client.fd(), reinterpret_cast<sockaddr*>(&client_addr), &len) != 0) {
+    return -1;
+  }
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    int fd = std::stoi(entry.path().filename().string());
+    int type = 0;
+    socklen_t type_len = sizeof(type);
+    sockaddr_storage local{};
+    sockaddr_storage peer{};
+    socklen_t local_len = sizeof(local);
+    socklen_t peer_len = sizeof(peer);
+    if (::getsockopt(fd, SOL_SOCKET, SO_TYPE, &type, &type_len) != 0 || type != SOCK_STREAM ||
+        ::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &local_len) != 0 ||
+        ::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) != 0 ||
+        local.ss_family != AF_INET || peer.ss_family != AF_INET) {
+      continue;
+    }
+    const auto& local_in = reinterpret_cast<const sockaddr_in&>(local);
+    const auto& peer_in = reinterpret_cast<const sockaddr_in&>(peer);
+    if (ntohs(local_in.sin_port) == server_port && peer_in.sin_port == client_addr.sin_port &&
+        peer_in.sin_addr.s_addr == client_addr.sin_addr.s_addr) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+// TCP_NODELAY as set on the server's end of `client`; -1 if not found.
+int ServerNoDelay(const Client& client, std::uint16_t server_port) {
+  int fd = ServerEndOf(client, server_port);
+  if (fd < 0) return -1;
+  int value = -1;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0) return -1;
+  return value;
+}
+
+// The reply to a line longer than `max_line_bytes`.
+std::string OversizeReply(std::size_t max_line_bytes) {
+  return StrFormat(R"({"error":{"code":"bad_request","message":"request line longer than )"
+                   R"(%zu bytes"},"id":null,"ok":false})",
+                   max_line_bytes);
+}
+
+// A canned line handler, as flatnet_router's: answers each line with its length.
+serve::Server::LineHandler LengthHandler() {
+  return [](const std::string& line, std::function<void(std::string)> done,
+            std::chrono::steady_clock::time_point) { done(std::to_string(line.size())); };
+}
+
 TEST(ServeServer, SocketRoundTripAndGracefulShutdown) {
   GeneratorParams params = GeneratorParams::Era2015(400);
   params.seed = 77;
@@ -1230,32 +1359,87 @@ TEST(ServeServer, SocketRoundTripAndGracefulShutdown) {
   ASSERT_GT(server.port(), 0u);
   std::thread serving([&] { server.Run(); });
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
-
-  std::string request = StrFormat("{\"op\":\"reach\",\"origin\":%u,\"id\":1}\n",
-                                  internet.graph().AsnOf(3));
-  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char chunk[4096];
-  while (response.find('\n') == std::string::npos) {
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    ASSERT_GT(n, 0);
-    response.append(chunk, static_cast<std::size_t>(n));
-  }
-  Json doc = Json::Parse(response.substr(0, response.find('\n')));
+  Client client(server.port());
+  client.Send(StrFormat("{\"op\":\"reach\",\"origin\":%u,\"id\":1}\n",
+                        internet.graph().AsnOf(3)));
+  std::string response = client.ReadLine();
+  Json doc = Json::Parse(response);
   EXPECT_TRUE(doc.Get("ok").AsBool()) << response;
   EXPECT_EQ(doc.Get("id").AsU64(), 1u);
 
   server.RequestShutdown();
   serving.join();  // graceful drain completes
-  ::close(fd);
+}
+
+// Both front ends, flatnet_serve's (a Dispatcher) and flatnet_router's (a
+// line handler), turn Nagle off on every connection they accept.
+TEST_F(ServeDispatchTest, AcceptedConnectionsSetNoDelay) {
+  serve::Server dispatching(dispatcher(), serve::ServerOptions{});
+  serve::Server routing(LengthHandler(), nullptr, serve::ServerOptions{});
+  Serving serving_dispatch(dispatching);
+  Serving serving_route(routing);
+
+  Client to_dispatch(dispatching.port());
+  to_dispatch.Send("{\"op\":\"status\",\"id\":\"s\"}\n");
+  EXPECT_TRUE(Json::Parse(to_dispatch.ReadLine()).Get("ok").AsBool());
+  EXPECT_EQ(ServerNoDelay(to_dispatch, dispatching.port()), 1);
+
+  Client to_route(routing.port());
+  to_route.Send("ping\n");
+  EXPECT_EQ(to_route.ReadLine(), "4");
+  EXPECT_EQ(ServerNoDelay(to_route, routing.port()), 1);
+}
+
+// A line past the cap is answered bad_request, in its place among the
+// connection's replies, and the connection keeps serving.
+TEST_F(ServeDispatchTest, OversizeLineIsABadRequestAndTheConnectionServes) {
+  serve::ServerOptions options;
+  serve::Server server(dispatcher(), options);
+  Serving serving(server);
+
+  Client client(server.port());
+  client.Send("{\"op\":\"status\",\"id\":\"before\"}\n");
+  client.Send(std::string(std::size_t{2} << 20, '[') + "\n");
+  client.Send("{\"op\":\"status\",\"id\":\"after\"}\n");
+  Json before = Json::Parse(client.ReadLine());
+  EXPECT_EQ(before.Get("id").AsString(), "before");
+  EXPECT_TRUE(before.Get("ok").AsBool());
+  EXPECT_EQ(client.ReadLine(),
+            R"({"error":{"code":"bad_request","message":"request line longer than )"
+            R"(1048576 bytes"},"id":null,"ok":false})");
+  Json after = Json::Parse(client.ReadLine());
+  EXPECT_EQ(after.Get("id").AsString(), "after");
+  EXPECT_TRUE(after.Get("ok").AsBool());
+}
+
+// A line of exactly max_line_bytes is served and one byte more is not,
+// wherever the line's bytes are split across sends.
+TEST(ServeServer, LineCapIsExactAcrossSplits) {
+  constexpr std::size_t kCap = 64;
+  serve::ServerOptions options;
+  options.max_line_bytes = kCap;
+  serve::Server server(LengthHandler(), nullptr, options);
+  Serving serving(server);
+  Client client(server.port());
+
+  for (std::size_t split = 0; split <= kCap + 1; ++split) {
+    SCOPED_TRACE(StrFormat("split at %zu", split));
+    std::string at_cap(kCap, 'x');
+    client.Send(at_cap.substr(0, split));
+    client.Send(at_cap.substr(std::min(split, kCap)) + "\n");
+    EXPECT_EQ(client.ReadLine(), std::to_string(kCap));
+
+    std::string past_cap(kCap + 1, 'x');
+    client.Send(past_cap.substr(0, split));
+    client.Send(past_cap.substr(split) + "\n");
+    EXPECT_EQ(client.ReadLine(), OversizeReply(kCap));
+  }
+  // A carriage return before the newline counts toward the line, so a line
+  // at the cap with "\r\n" is one byte too long.
+  client.Send(std::string(kCap, 'x') + "\r\n");
+  EXPECT_EQ(client.ReadLine(), OversizeReply(kCap));
+  client.Send(std::string(kCap - 1, 'x') + "\r\n");
+  EXPECT_EQ(client.ReadLine(), std::to_string(kCap - 1));
 }
 
 }  // namespace
