@@ -31,6 +31,12 @@ FleetCounters& Counters() {
   return counters;
 }
 
+constexpr std::chrono::milliseconds kDialTimeout{2000};
+// Idle connections kept per shard; extras are closed on checkin.
+constexpr std::size_t kMaxIdle = 8;
+// Consecutive failures before a shard is marked dead.
+constexpr std::size_t kFailuresToDead = 2;
+
 int PollMs(std::chrono::steady_clock::time_point deadline) {
   auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - std::chrono::steady_clock::now());
@@ -65,7 +71,6 @@ std::unique_ptr<BackendConn> BackendConn::Dial(const BackendAddress& address,
                                                std::chrono::milliseconds timeout) {
   int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) throw Error(StrFormat("socket: %s", std::strerror(errno)));
-  Counters().dials.Increment();
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -174,9 +179,8 @@ std::optional<std::string> BackendConn::ReadLine(
   }
 }
 
-BackendPool::BackendPool(std::vector<BackendAddress> backends,
-                         const BackendPoolOptions& options)
-    : backends_(std::move(backends)), options_(options) {
+BackendPool::BackendPool(std::vector<BackendAddress> backends)
+    : backends_(std::move(backends)) {
   if (backends_.empty()) throw InvalidArgument("fleet: need at least one backend");
   shards_.reserve(backends_.size());
   for (std::size_t i = 0; i < backends_.size(); ++i) {
@@ -194,14 +198,15 @@ std::unique_ptr<BackendConn> BackendPool::Checkout(std::size_t shard) {
       return conn;
     }
   }
-  return BackendConn::Dial(backends_[shard], options_.dial_timeout);
+  Counters().dials.Increment();
+  return BackendConn::Dial(backends_[shard], kDialTimeout);
 }
 
 void BackendPool::Checkin(std::size_t shard, std::unique_ptr<BackendConn> conn) {
   if (conn == nullptr) return;
   ShardState& state = *shards_[shard];
   std::lock_guard<std::mutex> lock(state.mu);
-  if (state.idle.size() < options_.max_idle) state.idle.push_back(std::move(conn));
+  if (state.idle.size() < kMaxIdle) state.idle.push_back(std::move(conn));
 }
 
 void BackendPool::DropIdle(std::size_t shard) {
@@ -256,7 +261,7 @@ void BackendPool::MarkFailure(std::size_t shard) {
   {
     std::lock_guard<std::mutex> lock(state.mu);
     failures = ++state.consecutive_failures;
-    if (state.alive && failures >= options_.failures_to_dead) {
+    if (state.alive && failures >= kFailuresToDead) {
       state.alive = false;
       died = true;
     }

@@ -8,11 +8,12 @@
 //
 // BackendPool owns per-shard stacks of idle connections (checkout / checkin,
 // dial on demand) plus each shard's health word. Health is driven from two
-// sides: request-path transport failures call MarkFailure — a shard is dead
-// after `failures_to_dead` consecutive ones — and the router's prober calls
-// MarkSuccess / MarkFailure on periodic status round-trips, which is also
-// how a restarted shard rejoins the ring. Transitions are logged and
-// counted (fleet.shard.died / fleet.shard.revived).
+// sides: request-path failures call MarkFailure — a shard is dead after two
+// consecutive ones — and the router's prober calls MarkSuccess /
+// MarkFailure on periodic status round-trips, which is also how a
+// restarted shard rejoins the ring. Transitions are logged and counted
+// (fleet.shard.died / fleet.shard.revived); every dial a checkout makes is
+// counted in fleet.backend.dials.
 #ifndef FLATNET_FLEET_BACKEND_H_
 #define FLATNET_FLEET_BACKEND_H_
 
@@ -74,17 +75,9 @@ class BackendConn {
   std::string buffer_;
 };
 
-struct BackendPoolOptions {
-  std::chrono::milliseconds dial_timeout{2000};
-  // Idle connections kept per shard; extras are closed on checkin.
-  std::size_t max_idle = 8;
-  // Consecutive failures before a shard is marked dead.
-  std::size_t failures_to_dead = 2;
-};
-
 class BackendPool {
  public:
-  BackendPool(std::vector<BackendAddress> backends, const BackendPoolOptions& options);
+  explicit BackendPool(std::vector<BackendAddress> backends);
 
   std::size_t num_shards() const { return backends_.size(); }
   const BackendAddress& address(std::size_t shard) const { return backends_[shard]; }
@@ -121,7 +114,6 @@ class BackendPool {
   };
 
   std::vector<BackendAddress> backends_;
-  BackendPoolOptions options_;
   std::vector<std::unique_ptr<ShardState>> shards_;
   std::atomic<std::uint64_t> deaths_{0};
 };

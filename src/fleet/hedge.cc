@@ -2,22 +2,7 @@
 
 #include <algorithm>
 
-#include "util/error.h"
-
 namespace flatnet::fleet {
-
-HedgePolicy::HedgePolicy(std::size_t num_shards, const HedgeOptions& options)
-    : options_(options), states_(num_shards) {
-  if (options.multiplier <= 0.0) {
-    throw InvalidArgument("hedge: multiplier must be positive");
-  }
-  if (options.alpha <= 0.0 || options.alpha > 1.0) {
-    throw InvalidArgument("hedge: alpha must be in (0, 1]");
-  }
-  if (options.min_ms < 0.0 || options.max_ms < options.min_ms) {
-    throw InvalidArgument("hedge: need 0 <= min_ms <= max_ms");
-  }
-}
 
 void HedgePolicy::Observe(std::size_t shard, double latency_ms) {
   if (latency_ms < 0.0) latency_ms = 0.0;
@@ -27,16 +12,15 @@ void HedgePolicy::Observe(std::size_t shard, double latency_ms) {
     state.seen = true;
     state.ewma_ms = latency_ms;
   } else {
-    state.ewma_ms += options_.alpha * (latency_ms - state.ewma_ms);
+    state.ewma_ms += kHedgeAlpha * (latency_ms - state.ewma_ms);
   }
 }
 
 double HedgePolicy::DelayMsFor(std::size_t shard) const {
   std::lock_guard<std::mutex> lock(mu_);
   const State& state = states_[shard];
-  if (!state.seen) return options_.max_ms;
-  return std::clamp(options_.multiplier * state.ewma_ms, options_.min_ms,
-                    options_.max_ms);
+  if (!state.seen) return kHedgeMaxMs;
+  return std::clamp(kHedgeMultiplier * state.ewma_ms, kHedgeMinMs, kHedgeMaxMs);
 }
 
 double HedgePolicy::EwmaMsOf(std::size_t shard) const {

@@ -2,11 +2,12 @@
 //
 // The router keeps an exponentially-weighted moving average of each
 // shard's observed response latency. A hedgeable request waits
-// `multiplier × ewma(shard)` milliseconds (clamped to [min_ms, max_ms])
-// for the primary before duplicating the request to the next distinct
-// live shard on the ring; whichever response arrives first wins and the
-// loser is abandoned. Before a shard's first observation the delay is
-// max_ms — never hedge eagerly against a shard whose speed is unknown.
+// `kHedgeMultiplier × ewma(shard)` milliseconds (clamped to
+// [kHedgeMinMs, kHedgeMaxMs]) for the primary before duplicating the
+// request to the next distinct live shard on the ring; whichever response
+// arrives first wins and the loser is abandoned. Before a shard's first
+// observation the delay is kHedgeMaxMs — never hedge eagerly against a
+// shard whose speed is unknown.
 //
 // The tail-at-scale tradeoff: a multiplier near the p50 duplicates half
 // of all traffic; a multiplier of ~3 on the mean only duplicates genuine
@@ -20,19 +21,17 @@
 
 namespace flatnet::fleet {
 
-struct HedgeOptions {
-  // Hedge after multiplier × the shard's EWMA latency.
-  double multiplier = 3.0;
-  // Clamp bounds for the computed delay, milliseconds.
-  double min_ms = 2.0;
-  double max_ms = 250.0;
-  // EWMA smoothing factor in (0, 1]; higher tracks recent latency faster.
-  double alpha = 0.2;
-};
+// Hedge after kHedgeMultiplier × the shard's EWMA latency, clamped to
+// [kHedgeMinMs, kHedgeMaxMs] milliseconds.
+inline constexpr double kHedgeMultiplier = 3.0;
+inline constexpr double kHedgeMinMs = 2.0;
+inline constexpr double kHedgeMaxMs = 250.0;
+// EWMA smoothing factor in (0, 1]; higher tracks recent latency faster.
+inline constexpr double kHedgeAlpha = 0.2;
 
 class HedgePolicy {
  public:
-  HedgePolicy(std::size_t num_shards, const HedgeOptions& options);
+  explicit HedgePolicy(std::size_t num_shards) : states_(num_shards) {}
 
   // Records one observed response latency for `shard`.
   void Observe(std::size_t shard, double latency_ms);
@@ -49,7 +48,6 @@ class HedgePolicy {
     double ewma_ms = 0.0;
   };
 
-  HedgeOptions options_;
   mutable std::mutex mu_;
   std::vector<State> states_;
 };

@@ -7,13 +7,11 @@
 
 namespace flatnet::fleet {
 
-Ring::Ring(std::size_t num_shards, std::size_t vnodes)
-    : num_shards_(num_shards), vnodes_(vnodes) {
+Ring::Ring(std::size_t num_shards) : num_shards_(num_shards) {
   if (num_shards == 0) throw InvalidArgument("ring: num_shards must be positive");
-  if (vnodes == 0) throw InvalidArgument("ring: vnodes must be positive");
-  points_.reserve(num_shards * vnodes);
+  points_.reserve(num_shards * kVnodes);
   for (std::size_t shard = 0; shard < num_shards; ++shard) {
-    for (std::size_t replica = 0; replica < vnodes; ++replica) {
+    for (std::size_t replica = 0; replica < kVnodes; ++replica) {
       // Vnode keys live in [2^32, ...) of the input space (shard+1 shifted
       // up), ASN keys in [0, 2^32): no systematic input collisions.
       std::uint64_t key = (static_cast<std::uint64_t>(shard + 1) << 32) |

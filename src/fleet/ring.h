@@ -1,12 +1,13 @@
 // Consistent-hash ring over the origin ASN space.
 //
 // The fleet partitions origins across N backend shards with a hash that is
-// a pure function of (num_shards, vnodes): the frontend router builds a
-// ring to route queries, and a sharded flatnet_serve builds the identical
-// ring to decide which slice of a columnar store it owns — ownership
-// agrees across processes with no coordination and no shared state. Each
-// shard contributes `vnodes` points mixed from (shard, replica); an ASN
-// belongs to the shard of the first point at or clockwise-after its hash.
+// a pure function of the shard count: the frontend router builds a ring to
+// route queries, and a sharded flatnet_serve builds the identical ring to
+// decide which slice of a columnar store it owns — ownership agrees across
+// processes with no coordination and no shared state. Each shard
+// contributes kVnodes points mixed from (shard, replica); an ASN belongs
+// to the shard of the first point at or clockwise-after its hash. Nothing
+// sets the vnode count, so no two fleet members can disagree on it.
 // A lookup is one binary search; failover and hedging walk clockwise to
 // the next live (or next distinct live) shard, which is exactly the shard
 // that inherits the range when the owner leaves the ring.
@@ -25,7 +26,7 @@
 
 namespace flatnet::fleet {
 
-inline constexpr std::size_t kDefaultVnodes = 64;
+inline constexpr std::size_t kVnodes = 64;
 
 // SplitMix64 finalizer: deterministic, well mixed, stable across builds,
 // platforms, and processes.
@@ -40,11 +41,10 @@ class Ring {
  public:
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  // Throws InvalidArgument when num_shards or vnodes is zero.
-  explicit Ring(std::size_t num_shards, std::size_t vnodes = kDefaultVnodes);
+  // Throws InvalidArgument when num_shards is zero.
+  explicit Ring(std::size_t num_shards);
 
   std::size_t num_shards() const { return num_shards_; }
-  std::size_t vnodes() const { return vnodes_; }
 
   // The shard that owns `asn` when every shard is alive.
   std::size_t Owner(std::uint32_t asn) const;
@@ -77,7 +77,6 @@ class Ring {
   std::size_t FirstIndexAtOrAfter(std::uint64_t h) const;
 
   std::size_t num_shards_;
-  std::size_t vnodes_;
   std::vector<Vnode> points_;  // sorted by point ascending
 };
 

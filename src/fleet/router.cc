@@ -51,15 +51,17 @@ double MillisSince(std::chrono::steady_clock::time_point t0) {
 }
 
 // The prober's own request line; shards answer it like any status query.
-const char* const kProbeLine = "{\"id\":\"fleet-probe\",\"op\":\"status\"}";
+const std::string kProbeLine = "{\"id\":\"fleet-probe\",\"op\":\"status\"}";
+// A probe waits at most this long (or the request timeout, if shorter).
+constexpr std::chrono::milliseconds kProbeTimeout{1000};
 
 }  // namespace
 
 FleetRouter::FleetRouter(const RouterOptions& options)
     : options_(options),
-      ring_(options.backends.size(), options.vnodes),
-      pool_(options.backends, options.pool),
-      hedge_(options.backends.size(), options.hedge),
+      ring_(options.backends.size()),
+      pool_(options.backends),
+      hedge_(options.backends.size()),
       start_time_(std::chrono::steady_clock::now()) {}
 
 FleetRouter::~FleetRouter() { Stop(); }
@@ -86,18 +88,8 @@ void FleetRouter::Stop() {
 }
 
 void FleetRouter::ProbeShard(std::size_t shard) {
-  try {
-    std::unique_ptr<BackendConn> conn = pool_.Checkout(shard);
-    conn->SendLine(kProbeLine);
-    auto deadline = std::chrono::steady_clock::now() +
-                    std::min(options_.request_timeout, std::chrono::milliseconds(1000));
-    std::optional<std::string> response = conn->ReadLine(deadline);
-    if (!response) throw Error("probe timed out");
-    pool_.MarkSuccess(shard);
-    pool_.Checkin(shard, std::move(conn));
-  } catch (const Error&) {
-    pool_.MarkFailure(shard);
-  }
+  Exchange probe = Send(shard, kProbeLine);
+  AwaitFirst({&probe, 1}, probe.sent_at + std::min(options_.request_timeout, kProbeTimeout));
 }
 
 void FleetRouter::ProbeLoop() {
@@ -168,127 +160,102 @@ std::string FleetRouter::Route(const Request& request, const std::string& line) 
   throw serve::ProtocolError(ErrorCode::kInternal, "unreachable op");
 }
 
-std::optional<std::string> FleetRouter::RoundTrip(std::size_t shard,
-                                                  const std::string& line,
-                                                  bool hedgeable,
-                                                  std::uint32_t hedge_key) {
-  auto overall_deadline = std::chrono::steady_clock::now() + options_.request_timeout;
-  std::unique_ptr<BackendConn> conn;
+FleetRouter::Exchange FleetRouter::Send(std::size_t shard, const std::string& line,
+                                        bool keyed) {
+  Exchange exchange{.shard = shard, .keyed = keyed};
   try {
-    conn = pool_.Checkout(shard);
-    conn->SendLine(line);
+    exchange.conn = pool_.Checkout(shard);
+    exchange.conn->SendLine(line);
   } catch (const Error&) {
-    pool_.MarkFailure(shard);
-    pool_.DropIdle(shard);
-    return std::nullopt;
+    Settle(exchange, Outcome::kBroken);
   }
-  auto sent_at = std::chrono::steady_clock::now();
+  exchange.sent_at = Clock::now();
+  return exchange;
+}
 
-  if (hedgeable && options_.hedging) {
-    auto hedge_at = sent_at + std::chrono::microseconds(static_cast<std::int64_t>(
-                                  hedge_.DelayMsFor(shard) * 1000.0));
-    std::optional<std::string> response;
-    try {
-      response = conn->ReadLine(std::min(hedge_at, overall_deadline));
-    } catch (const Error&) {
-      pool_.MarkFailure(shard);
-      pool_.DropIdle(shard);
+std::optional<FleetRouter::Reply> FleetRouter::AwaitFirst(std::span<Exchange> flight,
+                                                          Clock::time_point deadline,
+                                                          bool expire) {
+  for (;;) {
+    pollfd fds[2];
+    std::size_t polled[2];
+    nfds_t n = 0;
+    for (std::size_t i = 0; i < flight.size() && n < 2; ++i) {
+      Exchange& exchange = flight[i];
+      if (exchange.conn == nullptr) continue;
+      if (std::optional<std::string> line = exchange.conn->TakeLine()) {
+        Settle(exchange, Outcome::kReplied);
+        return Reply{i, std::move(*line)};
+      }
+      fds[n] = pollfd{exchange.conn->fd(), POLLIN, 0};
+      polled[n++] = i;
+    }
+    if (n == 0) return std::nullopt;
+    auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(deadline - Clock::now());
+    if (left.count() <= 0) {
+      if (expire) {
+        for (nfds_t k = 0; k < n; ++k) Settle(flight[polled[k]], Outcome::kSilent);
+      }
       return std::nullopt;
     }
-    if (!response && std::chrono::steady_clock::now() < overall_deadline) {
-      std::size_t neighbor =
-          ring_.NextLiveDistinct(hedge_key, shard, pool_.AliveMask());
-      if (neighbor != Ring::npos) {
-        Counters().hedge_issued.Increment();
-        std::unique_ptr<BackendConn> hedge_conn;
-        try {
-          hedge_conn = pool_.Checkout(neighbor);
-          hedge_conn->SendLine(line);
-        } catch (const Error&) {
-          pool_.MarkFailure(neighbor);
-          hedge_conn.reset();
-        }
-        if (hedge_conn != nullptr) {
-          auto hedge_sent_at = std::chrono::steady_clock::now();
-          // First complete line on either connection wins; the loser is
-          // closed unread — checking it back in with a response in flight
-          // would desynchronize the pool.
-          bool primary_open = true;
-          bool hedge_open = true;
-          while (std::chrono::steady_clock::now() < overall_deadline &&
-                 (primary_open || hedge_open)) {
-            if (primary_open) {
-              if (auto l = conn->TakeLine()) {
-                hedge_.Observe(shard, MillisSince(sent_at));
-                pool_.MarkSuccess(shard);
-                pool_.Checkin(shard, std::move(conn));
-                return l;
-              }
-            }
-            if (hedge_open) {
-              if (auto l = hedge_conn->TakeLine()) {
-                Counters().hedge_won.Increment();
-                hedge_.Observe(neighbor, MillisSince(hedge_sent_at));
-                pool_.MarkSuccess(neighbor);
-                pool_.Checkin(neighbor, std::move(hedge_conn));
-                return l;
-              }
-            }
-            pollfd pfds[2];
-            nfds_t nfds = 0;
-            if (primary_open) pfds[nfds++] = pollfd{conn->fd(), POLLIN, 0};
-            if (hedge_open) pfds[nfds++] = pollfd{hedge_conn->fd(), POLLIN, 0};
-            auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                overall_deadline - std::chrono::steady_clock::now());
-            int timeout = static_cast<int>(
-                std::clamp<std::int64_t>(left.count(), 0, 1000));
-            if (::poll(pfds, nfds, timeout) < 0 && errno != EINTR) break;
-            if (primary_open) {
-              try {
-                conn->ReadAvailable();
-              } catch (const Error&) {
-                pool_.MarkFailure(shard);
-                primary_open = false;
-              }
-            }
-            if (hedge_open) {
-              try {
-                hedge_conn->ReadAvailable();
-              } catch (const Error&) {
-                pool_.MarkFailure(neighbor);
-                hedge_open = false;
-              }
-            }
-          }
-          if (!primary_open && !hedge_open) return std::nullopt;
-          pool_.MarkFailure(shard);  // overall deadline with no response
-          return std::nullopt;
-        }
+    timespec timeout{static_cast<time_t>(left.count() / 1000000000),
+                     static_cast<long>(left.count() % 1000000000)};
+    if (::ppoll(fds, n, &timeout, nullptr) < 0 && errno != EINTR) {
+      for (nfds_t k = 0; k < n; ++k) Settle(flight[polled[k]], Outcome::kBroken);
+      return std::nullopt;
+    }
+    for (nfds_t k = 0; k < n; ++k) {
+      if (fds[k].revents == 0) continue;
+      try {
+        flight[polled[k]].conn->ReadAvailable();
+      } catch (const Error&) {
+        Settle(flight[polled[k]], Outcome::kBroken);
       }
-    } else if (response) {
-      hedge_.Observe(shard, MillisSince(sent_at));
-      pool_.MarkSuccess(shard);
-      pool_.Checkin(shard, std::move(conn));
-      return response;
     }
   }
+}
 
-  std::optional<std::string> response;
-  try {
-    response = conn->ReadLine(overall_deadline);
-  } catch (const Error&) {
-    pool_.MarkFailure(shard);
-    pool_.DropIdle(shard);
-    return std::nullopt;
+void FleetRouter::Settle(Exchange& exchange, Outcome outcome) {
+  std::size_t shard = exchange.shard;
+  if (outcome == Outcome::kReplied) {
+    if (exchange.keyed) hedge_.Observe(shard, MillisSince(exchange.sent_at));
+    pool_.MarkSuccess(shard);
+    pool_.Checkin(shard, std::move(exchange.conn));
+    return;
   }
-  if (!response) {
-    pool_.MarkFailure(shard);
-    return std::nullopt;
+  exchange.conn.reset();
+  pool_.MarkFailure(shard);
+  // After a transport error the shard's pooled connections are likely
+  // dead too.
+  if (outcome == Outcome::kBroken) pool_.DropIdle(shard);
+}
+
+std::optional<std::string> FleetRouter::RoundTrip(std::size_t shard, const std::string& line,
+                                                  std::uint32_t key_asn, bool hedgeable) {
+  auto deadline = Clock::now() + options_.request_timeout;
+  // The primary and, once it outlasts its hedge delay, the hedge.
+  Exchange flight[2] = {Send(shard, line, /*keyed=*/true), Exchange{}};
+  std::optional<Reply> reply;
+  if (hedgeable && flight[0].conn != nullptr) {
+    auto delay = std::chrono::duration<double, std::milli>(hedge_.DelayMsFor(shard));
+    auto hedge_at = flight[0].sent_at + std::chrono::duration_cast<Clock::duration>(delay);
+    reply = AwaitFirst({flight, 1}, std::min(hedge_at, deadline), /*expire=*/false);
+    std::size_t neighbor = Ring::npos;
+    if (!reply && flight[0].conn != nullptr && Clock::now() < deadline) {
+      neighbor = ring_.NextLiveDistinct(key_asn, shard, pool_.AliveMask());
+    }
+    if (neighbor != Ring::npos) {
+      Counters().hedge_issued.Increment();
+      flight[1] = Send(neighbor, line, /*keyed=*/true);
+    }
   }
-  hedge_.Observe(shard, MillisSince(sent_at));
-  pool_.MarkSuccess(shard);
-  pool_.Checkin(shard, std::move(conn));
-  return response;
+  // First complete line on either connection wins; the loser is closed
+  // unread when `flight` goes out of scope — checking it back in with a
+  // response in flight would desynchronize the pool.
+  if (!reply) reply = AwaitFirst(flight, deadline);
+  if (!reply) return std::nullopt;
+  if (reply->index == 1) Counters().hedge_won.Increment();
+  return std::move(reply->line);
 }
 
 std::string FleetRouter::ForwardCompute(std::uint32_t key_asn,
@@ -305,7 +272,7 @@ std::string FleetRouter::ForwardCompute(std::uint32_t key_asn,
     untried[target] = false;
     if (attempt > 0) Counters().retries.Increment();
 
-    std::optional<std::string> response = RoundTrip(target, line, true, key_asn);
+    std::optional<std::string> response = RoundTrip(target, line, key_asn, true);
     if (!response) continue;  // transport failure; fail over along the ring
     if (IsOverloadedResponse(*response)) {
       // The shard shed this query at admission; give the next shard on the
@@ -339,7 +306,7 @@ std::string FleetRouter::ForwardStore(std::uint32_t key_asn,
       Counters().retries.Increment();
       std::this_thread::sleep_for(std::chrono::milliseconds(10 << attempt));
     }
-    std::optional<std::string> response = RoundTrip(owner, line, false, key_asn);
+    std::optional<std::string> response = RoundTrip(owner, line, key_asn, false);
     if (!response) {
       throw serve::ProtocolError(
           ErrorCode::kUnavailable,
@@ -354,50 +321,31 @@ std::string FleetRouter::ForwardStore(std::uint32_t key_asn,
 
 std::string FleetRouter::ScatterTop(const Json& id, const std::string& line) {
   std::vector<std::size_t> missing;
-  struct Pending {
-    std::size_t shard;
-    std::unique_ptr<BackendConn> conn;
-  };
-  std::vector<Pending> pending;
+  std::vector<Exchange> pending;
   for (std::size_t shard = 0; shard < pool_.num_shards(); ++shard) {
-    if (!pool_.alive(shard)) {
-      missing.push_back(shard);
-      continue;
-    }
-    try {
-      std::unique_ptr<BackendConn> conn = pool_.Checkout(shard);
-      conn->SendLine(line);
-      pending.push_back(Pending{shard, std::move(conn)});
-    } catch (const Error&) {
-      pool_.MarkFailure(shard);
+    if (pool_.alive(shard)) {
+      pending.push_back(Send(shard, line));
+    } else {
       missing.push_back(shard);
     }
   }
 
-  auto overall_deadline = std::chrono::steady_clock::now() + options_.request_timeout;
+  auto deadline = Clock::now() + options_.request_timeout;
   std::vector<Json> results;
   std::string error_response;
-  for (Pending& p : pending) {
-    std::optional<std::string> response;
-    try {
-      response = p.conn->ReadLine(overall_deadline);
-    } catch (const Error&) {
-      response = std::nullopt;
-    }
-    if (!response) {
-      pool_.MarkFailure(p.shard);
-      missing.push_back(p.shard);
+  for (Exchange& exchange : pending) {
+    std::optional<Reply> reply = AwaitFirst({&exchange, 1}, deadline);
+    if (!reply) {
+      missing.push_back(exchange.shard);
       continue;
     }
-    pool_.MarkSuccess(p.shard);
-    pool_.Checkin(p.shard, std::move(p.conn));
-    Json doc = Json::Parse(*response);
+    Json doc = Json::Parse(reply->line);
     if (doc.Get("ok").type() == Json::Type::kBool && doc.Get("ok").AsBool()) {
       results.push_back(doc.At("result"));
     } else if (error_response.empty()) {
       // A semantic rejection (no sweep store, bad metric) is common to all
       // shards — relay the first one verbatim, as a direct server would.
-      error_response = *response;
+      error_response = std::move(reply->line);
     }
   }
   if (results.empty()) {
@@ -414,23 +362,18 @@ std::string FleetRouter::FleetStatus(const Json& id) {
   Json shards = Json::MakeArray();
   std::vector<Json> shard_results(pool_.num_shards());
   std::vector<bool> answered(pool_.num_shards(), false);
+  // Shards are asked in turn: asking all at once makes three shards build
+  // a status together, which costs the fleet's p50 more than it saves.
   for (std::size_t shard = 0; shard < pool_.num_shards(); ++shard) {
     if (!pool_.alive(shard)) continue;
-    try {
-      std::unique_ptr<BackendConn> conn = pool_.Checkout(shard);
-      conn->SendLine(kProbeLine);
-      auto deadline = std::chrono::steady_clock::now() + options_.request_timeout;
-      std::optional<std::string> response = conn->ReadLine(deadline);
-      if (!response) throw Error("status scatter timed out");
-      Json doc = Json::Parse(*response);
-      if (doc.Get("ok").type() == Json::Type::kBool && doc.Get("ok").AsBool()) {
-        shard_results[shard] = doc.At("result");
-        answered[shard] = true;
-      }
-      pool_.MarkSuccess(shard);
-      pool_.Checkin(shard, std::move(conn));
-    } catch (const Error&) {
-      pool_.MarkFailure(shard);
+    Exchange exchange = Send(shard, kProbeLine);
+    std::optional<Reply> reply =
+        AwaitFirst({&exchange, 1}, exchange.sent_at + options_.request_timeout);
+    if (!reply) continue;
+    Json doc = Json::Parse(reply->line);
+    if (doc.Get("ok").type() == Json::Type::kBool && doc.Get("ok").AsBool()) {
+      shard_results[shard] = doc.At("result");
+      answered[shard] = true;
     }
   }
 
@@ -537,7 +480,7 @@ std::string FleetRouter::FleetStatus(const Json& id) {
   fleet["unavailable"] = stats.unavailable;
   Json ring = Json::MakeObject();
   ring["shards"] = static_cast<std::uint64_t>(ring_.num_shards());
-  ring["vnodes"] = static_cast<std::uint64_t>(ring_.vnodes());
+  ring["vnodes"] = static_cast<std::uint64_t>(kVnodes);
   fleet["ring"] = std::move(ring);
 
   Json sweep_store = Json::MakeObject();

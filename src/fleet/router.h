@@ -34,10 +34,13 @@
 // echoes the client's `id` and the router does not re-encode the response,
 // so single-shard answers are byte-identical to a direct connection.
 //
-// A prober thread round-trips `status` to every backend on a fixed
-// interval; request-path transport failures and probe failures both feed
-// the shard health state (fleet/backend.h), and a probe success is how a
-// restarted shard heals back into the ring.
+// Every request to a shard, the prober's included, is one exchange: Send
+// (checkout + send), AwaitFirst (the first reply line of one exchange, or
+// of a primary and its hedge, before a deadline) and Settle, which applies
+// the one failure rule to the shard's health and connections (DESIGN.md
+// §15). A prober thread round-trips `status` to every backend on a fixed
+// interval; a probe success is how a restarted shard heals back into the
+// ring.
 #ifndef FLATNET_FLEET_ROUTER_H_
 #define FLATNET_FLEET_ROUTER_H_
 
@@ -49,6 +52,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,10 +67,6 @@ namespace flatnet::fleet {
 struct RouterOptions {
   // backends[i] is shard i — the order must match the shards' --shard i/N.
   std::vector<BackendAddress> backends;
-  std::size_t vnodes = kDefaultVnodes;
-  BackendPoolOptions pool;
-  HedgeOptions hedge;
-  bool hedging = true;
   // Transport guard per forwarded request; a shard that stays silent this
   // long is treated as failed. Query deadlines (`deadline_ms`) are still
   // enforced end-to-end by the shard itself.
@@ -111,18 +111,51 @@ class FleetRouter {
   BackendPool& pool() { return pool_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  // One request in flight to one shard. `conn` is null once the exchange
+  // is settled (or its send failed); dropping an unsettled exchange closes
+  // its connection, which is how a hedge race abandons the loser.
+  struct Exchange {
+    std::size_t shard = 0;
+    std::unique_ptr<BackendConn> conn;
+    Clock::time_point sent_at;
+    // Keyed point ops feed the reply's latency to the hedge EWMA.
+    bool keyed = false;
+  };
+  struct Reply {
+    std::size_t index;  // which exchange of the awaited span replied
+    std::string line;
+  };
+  enum class Outcome { kReplied, kSilent, kBroken };
+
+  // Checks out a connection to `shard` and sends `line`. A transport error
+  // settles the exchange as broken, and the result has no connection.
+  Exchange Send(std::size_t shard, const std::string& line, bool keyed = false);
+  // Polls the open exchanges of `flight` (at most two) for the first
+  // complete reply line until `deadline`, settling the one that replies
+  // and any that break. Exchanges still silent at the deadline are settled
+  // as failed unless `expire` is false (the wait before a hedge). Returns
+  // nullopt at the deadline or once no exchange is open.
+  std::optional<Reply> AwaitFirst(std::span<Exchange> flight, Clock::time_point deadline,
+                                  bool expire = true);
+  // The failure rule. kReplied marks the shard alive and pools the
+  // connection; kSilent marks it failed and closes the connection;
+  // kBroken also drops the shard's idle connections.
+  void Settle(Exchange& exchange, Outcome outcome);
+
   std::string Route(const serve::Request& request, const std::string& line);
   // Keyed compute op: owner-affine with failover and hedging.
   std::string ForwardCompute(std::uint32_t key_asn, const std::string& line);
   // Keyed store op: strict ownership; dead owner => `unavailable`.
   std::string ForwardStore(std::uint32_t key_asn, const std::string& line);
-  // One send + hedged receive against `shard`. Returns nullopt on transport
-  // failure (the shard has been marked); `hedge_key` enables hedging.
+  // One keyed point request to `shard`; a `hedgeable` one is re-sent to
+  // the next distinct live shard once `shard` outlasts its hedge delay.
+  // Returns nullopt when no reply came (the shards have been settled).
   std::optional<std::string> RoundTrip(std::size_t shard, const std::string& line,
-                                       bool hedgeable, std::uint32_t hedge_key);
+                                       std::uint32_t key_asn, bool hedgeable);
   std::string ScatterTop(const Json& id, const std::string& line);
   std::string FleetStatus(const Json& id);
-  // One status round-trip to `shard`, feeding MarkSuccess / MarkFailure.
   void ProbeShard(std::size_t shard);
   void ProbeLoop();
 

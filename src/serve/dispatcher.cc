@@ -132,7 +132,7 @@ Dispatcher::Dispatcher(const Internet& internet, const DispatcherOptions& option
       throw InvalidArgument(StrFormat("shard index %zu out of range (%zu shards)",
                                       options.shard_index, options.shard_count));
     }
-    ring_.emplace(options.shard_count, options.ring_vnodes);
+    ring_.emplace(options.shard_count);
     obs::Log(obs::LogLevel::kInfo, "serve", "shard.configured")
         .Kv("index", static_cast<std::uint64_t>(options.shard_index))
         .Kv("count", static_cast<std::uint64_t>(options.shard_count));
@@ -183,12 +183,8 @@ void Dispatcher::AttachLeakStore(leaksim::LeakStore store, const std::string& pa
   leak_path_ = path;
   leak_sorted_.clear();
   leak_sorted_.reserve(leak_store_.num_cells());
-  leak_owned_.clear();
-  leak_owned_.reserve(leak_store_.num_cells());
   for (std::size_t i = 0; i < leak_store_.num_cells(); ++i) {
-    bool owned = OwnsAsId(leak_store_.cell(i).spec.victim);
-    leak_owned_.push_back(owned ? 1 : 0);
-    if (!owned) {
+    if (!OwnsAsId(leak_store_.cell(i).spec.victim)) {
       // Not this shard's slice: keep the index aligned but hold no samples.
       leak_sorted_.emplace_back();
       continue;
@@ -209,14 +205,10 @@ void Dispatcher::AttachFailStore(failsim::FailStore store, const std::string& pa
   fail_path_ = path;
   fail_sorted_.clear();
   fail_sorted_.reserve(fail_store_.num_cells());
-  fail_owned_.clear();
-  fail_owned_.reserve(fail_store_.num_cells());
   hegemony_rankings_.clear();
   for (std::size_t i = 0; i < fail_store_.num_cells(); ++i) {
     const failsim::FailCellResult& cell = fail_store_.cell(i);
-    bool owned = OwnsAsId(cell.spec.origin);
-    fail_owned_.push_back(owned ? 1 : 0);
-    if (!owned) {
+    if (!OwnsAsId(cell.spec.origin)) {
       fail_sorted_.emplace_back();
       continue;
     }
@@ -809,8 +801,8 @@ std::string Dispatcher::StatusResult() {
     // test) discover which victims are queryable without a topology scan.
     std::vector<Asn> victims;
     for (std::size_t i = 0; i < leak_store_.num_cells(); ++i) {
-      if (leak_owned_[i] == 0) continue;  // another shard's slice
-      victims.push_back(internet_.graph().AsnOf(leak_store_.cell(i).spec.victim));
+      AsId victim = leak_store_.cell(i).spec.victim;
+      if (OwnsAsId(victim)) victims.push_back(internet_.graph().AsnOf(victim));
     }
     std::sort(victims.begin(), victims.end());
     victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
@@ -843,8 +835,8 @@ std::string Dispatcher::StatusResult() {
     for (std::size_t s = 0; s < failsim::kNumFailScenarios; ++s) {
       auto scenario = static_cast<failsim::FailScenario>(s);
       for (std::size_t i = 0; i < fail_store_.num_cells(); ++i) {
-        if (fail_owned_[i] == 0) continue;  // another shard's slice
-        if (fail_store_.cell(i).spec.scenario == scenario) {
+        const failsim::FailCellSpec& spec = fail_store_.cell(i).spec;
+        if (spec.scenario == scenario && OwnsAsId(spec.origin)) {
           scenario_list.Append(Json(failsim::ToString(scenario)));
           break;
         }
@@ -869,7 +861,7 @@ std::string Dispatcher::StatusResult() {
     Json shard = Json::MakeObject();
     shard["count"] = static_cast<std::uint64_t>(options_.shard_count);
     shard["index"] = static_cast<std::uint64_t>(options_.shard_index);
-    shard["vnodes"] = static_cast<std::uint64_t>(ring_->vnodes());
+    shard["vnodes"] = static_cast<std::uint64_t>(fleet::kVnodes);
     Json ranges = Json::MakeArray();
     for (const auto& [lo, hi] : ring_->RangesOf(options_.shard_index)) {
       Json pair = Json::MakeArray();

@@ -70,8 +70,6 @@ struct DispatcherOptions {
   // shard_count <= 1 means unsharded.
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
-  // Ring vnodes per shard; must match the router's setting.
-  std::size_t ring_vnodes = fleet::kDefaultVnodes;
 };
 
 // The `result` of a `metrics` request: this process's own metrics
@@ -194,10 +192,8 @@ class Dispatcher {
   leaksim::LeakStore leak_store_;
   bool leak_loaded_ = false;
   std::string leak_path_;
+  // Empty for a cell whose victim another shard owns.
   std::vector<std::vector<double>> leak_sorted_;
-  // Sharded: whether each cell's victim falls in this shard's slice (the
-  // sorted copy above stays empty for cells that do not). Empty unsharded.
-  std::vector<char> leak_owned_;
 
   // Failure-campaign store state (immutable once attached). Each cell's
   // damage columns ascending-sorted for quantile lookups, plus one
@@ -211,9 +207,7 @@ class Dispatcher {
     std::vector<double> disconnected;
     std::vector<double> loss_users;  // empty unless the store has_users
   };
-  std::vector<FailSortedCell> fail_sorted_;
-  // Sharded: per-cell origin ownership, as leak_owned_ above.
-  std::vector<char> fail_owned_;
+  std::vector<FailSortedCell> fail_sorted_;  // empty for another shard's cells
   struct HegemonyRank {
     std::vector<AsId> ranking;
     std::vector<double> scores;  // parallel to `ranking`

@@ -453,8 +453,8 @@ TEST_F(ToolExitCodes, NumericFlagsThatDoNotFitAreUsageErrors) {
   Expect(2, "flatnet_failsim {g} --trim 0.5");
 }
 
-// Past serve::kMaxDeadlineMs (1 h) a deadline, timeout or hedge delay
-// added to steady_clock::now() can overflow the clock. Each line names an
+// Past serve::kMaxDeadlineMs (1 h) a deadline or timeout added to
+// steady_clock::now() can overflow the clock. Each line names an
 // unbindable address, so a tool that accepts its flags exits 1 at bind.
 TEST_F(ToolExitCodes, TimeFlagsPastTheDeadlineCapAreUsageErrors) {
   std::string serve = "flatnet_serve --topology {g} --threads 1 --bind 256.0.0.1 ";
@@ -466,10 +466,18 @@ TEST_F(ToolExitCodes, TimeFlagsPastTheDeadlineCapAreUsageErrors) {
   Expect(2, router + "--request-timeout-ms 3600001");
   Expect(2, router + "--request-timeout-ms 9223372036854775807");
   Expect(2, router + "--probe-interval-ms 9223372036854775807");
-  Expect(1, router + "--hedge-min-ms 3600000 --hedge-max-ms 3600000");
-  Expect(2, router + "--hedge-min-ms 3600001");
-  Expect(2, router + "--hedge-max-ms 1e300");
-  Expect(2, router + "--hedge-max-ms inf");
+}
+
+// The ring's vnode count and the hedge and pool tuning are constants, so
+// the router's old tuning flags are unknown flags. Each line names an
+// unbindable address: a router that still took the flag would exit 1.
+TEST_F(ToolExitCodes, RemovedRouterFlagsAreUsageErrors) {
+  std::string router = "flatnet_router --backends 127.0.0.1:1 --bind 256.0.0.1 ";
+  Expect(2, router + "--vnodes 8");
+  Expect(2, router + "--no-hedging");
+  Expect(2, router + "--hedge-multiplier 2");
+  Expect(2, router + "--hedge-min-ms 1");
+  Expect(2, router + "--hedge-max-ms 9");
 }
 
 TEST_F(ToolExitCodes, BadCommandLinesAreUsageErrors) {
@@ -482,7 +490,6 @@ TEST_F(ToolExitCodes, BadCommandLinesAreUsageErrors) {
     Expect(2, tool + " --metrics-out");
   }
   Expect(2, "flatnet_router --backends 127.0.0.1:notaport");
-  Expect(2, "flatnet_router --hedge-multiplier nan --backends 127.0.0.1:1");
   Expect(2, "flatnet_serve stray-positional");
 }
 

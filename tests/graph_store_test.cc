@@ -2,6 +2,8 @@
 // round-trip / corruption / determinism contract of ROADMAP item 1.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -150,7 +152,12 @@ TEST_F(GraphStoreTest, MappedColumnsMatchBuilderColumns) {
 class GraphStoreCorruptionTest : public GraphStoreTest {
  protected:
   void SetUp() override {
-    path_ = TempPath("flatnet_graph_corrupt.graph");
+    // One file per case and process: ctest runs each case as its own
+    // process, and cases running at once would rewrite, truncate and
+    // delete one another's memory-mapped file.
+    path_ = TempPath(StrFormat("flatnet_graph_corrupt.%s.%d.graph",
+                               ::testing::UnitTest::GetInstance()->current_test_info()->name(),
+                               ::getpid()));
     SaveInternetBinary(internet(), path_);
     pristine_ = ReadFileBytes(path_);
   }

@@ -31,7 +31,7 @@
 //
 // --fleet points the loadgen at a flatnet_router instead of a single
 // server: the preflight reads the router's merged fleet view, rebuilds the
-// consistent-hash ring locally (same shard count and vnodes), and
+// consistent-hash ring locally from its shard count, and
 // attributes every keyed request to its owning shard. The report then
 // carries a `fleet` object — per-shard p50/p95/p99 from the client's
 // vantage, the router's hedge counters and win rate, the number of
@@ -48,16 +48,9 @@
 //
 // Exits nonzero on any protocol error, transport failure, or verification
 // mismatch.
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <optional>
@@ -65,10 +58,12 @@
 #include <thread>
 #include <vector>
 
+#include "bgp/leak.h"
 #include "bgp/reachability.h"
 #include "cli/cli.h"
 #include "core/graph_store.h"
 #include "core/serialize.h"
+#include "fleet/backend.h"
 #include "fleet/ring.h"
 #include "serve/protocol.h"
 #include "util/error.h"
@@ -87,59 +82,17 @@ constexpr char kUsage[] =
     "                       [--seed S] [--verify K] [--no-timing] [--fleet]\n"
     "                       [--log-level <level>] [--metrics-out <file>]\n";
 
-// One blocking line-oriented client connection.
-class Client {
- public:
-  Client(const std::string& host, std::uint16_t port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw Error(StrFormat("socket: %s", std::strerror(errno)));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(port);
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      throw Error(StrFormat("invalid host '%s'", host.c_str()));
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-      throw Error(StrFormat("connect %s:%u: %s", host.c_str(),
-                            static_cast<unsigned>(port), std::strerror(errno)));
-    }
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
+// Bounds every dial and every reply by the protocol's deadline cap, so a
+// hung server fails the run instead of hanging it.
+constexpr std::chrono::milliseconds kTimeout{serve::kMaxDeadlineMs};
 
-  // Sends one request line, blocks for the one response line.
-  std::string RoundTrip(const std::string& request) {
-    std::string framed = request;
-    framed.push_back('\n');
-    std::size_t sent = 0;
-    while (sent < framed.size()) {
-      ssize_t n = ::send(fd_, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw Error(StrFormat("send: %s", std::strerror(errno)));
-      sent += static_cast<std::size_t>(n);
-    }
-    for (;;) {
-      std::size_t newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) throw Error("connection closed mid-response");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
+// Sends one request line and returns its reply line.
+std::string RoundTrip(fleet::BackendConn& conn, const std::string& request) {
+  conn.SendLine(request);
+  std::optional<std::string> reply = conn.ReadLine(std::chrono::steady_clock::now() + kTimeout);
+  if (!reply) throw Error("no reply within the deadline cap");
+  return std::move(*reply);
+}
 
 // Server-side latency attribution, accumulated from `timing` fields.
 // Phases are folded into coarse groups so the report stays readable:
@@ -274,7 +227,7 @@ const char* RandomName(Rng& rng, const NameTable<Enum, N>& table) {
 // queries hit real cells. Origins come from a 16-AS hot pool 70% of the
 // time so identical queries recur and the result cache gets hits. The
 // store-backed ops and status are answered inline and never cached.
-std::string BuildRequest(Rng& rng, const std::vector<Asn>& asns,
+std::string BuildRequest(Rng& rng, const AsGraph& graph, const std::vector<Asn>& asns,
                          const std::vector<Asn>& hot, std::uint64_t id,
                          const Capabilities& caps, bool timing, bool* cacheable,
                          std::optional<Asn>* key_asn) {
@@ -304,6 +257,13 @@ std::string BuildRequest(Rng& rng, const std::vector<Asn>& asns,
     Asn victim = origin();
     Asn leaker = origin();
     while (leaker == victim) leaker = pick(asns);
+    // The service rejects a leaker that holds no route to the victim as a
+    // bad request, so draw again until the leaker holds one.
+    LeakExperiment experiment(graph, *graph.IdOf(victim), LeakConfig{});
+    for (int draw = 0; !experiment.CanLeak(*graph.IdOf(leaker)); ++draw) {
+      if (draw == 1000) throw Error(StrFormat("no AS holds a route to AS%u to leak", victim));
+      leaker = pick(asns);
+    }
     *key_asn = victim;
     return StrFormat("{\"op\":\"leak\",\"victim\":%u,\"leaker\":%u,\"id\":%llu%s}", victim,
                      leaker, static_cast<unsigned long long>(id), timing_key);
@@ -411,6 +371,9 @@ int Run(cli::Args& args) {
     port = static_cast<std::uint16_t>(value);
   }
 
+  const fleet::BackendAddress server{host, port};
+  auto dial = [&server] { return fleet::BackendConn::Dial(server, kTimeout); };
+
   Internet internet = LoadInternetAuto(stem);
   std::vector<Asn> asns;
   asns.reserve(internet.num_ases());
@@ -428,22 +391,20 @@ int Run(cli::Args& args) {
   Capabilities caps;
   std::optional<fleet::Ring> ring;
   {
-    Client probe(host, port);
-    Json status = Json::Parse(probe.RoundTrip("{\"op\":\"status\",\"id\":\"probe\"}"));
+    Json status = Json::Parse(RoundTrip(*dial(), "{\"op\":\"status\",\"id\":\"probe\"}"));
     caps = ProbeCapabilities(status);
     if (fleet_mode) {
-      // Rebuild the router's ring locally (same shard count and vnodes →
-      // identical ownership) so each keyed request can be attributed to
-      // the shard that served it.
+      // Rebuild the router's ring locally (the ring is a function of the
+      // shard count alone) so each keyed request can be attributed to the
+      // shard that served it.
       const Json& ring_config = status.Get("result").Get("fleet").Get("ring");
       if (ring_config.type() != Json::Type::kObject) {
         throw Error(StrFormat("--fleet: %s:%u is not a flatnet_router (no fleet view)",
                               host.c_str(), static_cast<unsigned>(port)));
       }
-      ring.emplace(ring_config.At("shards").AsU64(), ring_config.At("vnodes").AsU64());
-      std::fprintf(stderr, "fleet: %llu shards, %llu vnodes each\n",
-                   static_cast<unsigned long long>(ring->num_shards()),
-                   static_cast<unsigned long long>(ring->vnodes()));
+      ring.emplace(ring_config.At("shards").AsU64());
+      std::fprintf(stderr, "fleet: %llu shards\n",
+                   static_cast<unsigned long long>(ring->num_shards()));
     }
   }
   std::fprintf(stderr, "sweep store %s: top queries %s\n", caps.top ? "loaded" : "absent",
@@ -463,7 +424,7 @@ int Run(cli::Args& args) {
       WorkerTally& tally = tallies[w];
       if (ring) tally.shard_latencies_ms.resize(ring->num_shards());
       try {
-        Client client(host, port);
+        std::unique_ptr<fleet::BackendConn> client = dial();
         Rng rng(seed * 0x9e3779b97f4a7c15ULL + w + 1);
         for (;;) {
           std::uint64_t id = next_id.fetch_add(1);
@@ -471,9 +432,10 @@ int Run(cli::Args& args) {
           bool cacheable = false;
           std::optional<Asn> key_asn;
           std::string request =
-              BuildRequest(rng, asns, hot, id, caps, timing, &cacheable, &key_asn);
+              BuildRequest(rng, internet.graph(), asns, hot, id, caps, timing, &cacheable,
+                           &key_asn);
           auto start = std::chrono::steady_clock::now();
-          std::string response = client.RoundTrip(request);
+          std::string response = RoundTrip(*client, request);
           double client_ms = std::chrono::duration<double, std::milli>(
                                  std::chrono::steady_clock::now() - start)
                                  .count();
@@ -551,7 +513,7 @@ int Run(cli::Args& args) {
   std::uint64_t verify_mismatches = 0;
   if (verify > 0) {
     try {
-      Client client(host, port);
+      std::unique_ptr<fleet::BackendConn> client = dial();
       ReachabilityEngine engine(internet.graph());
       Rng rng(seed ^ 0x5eedULL);
       for (std::uint64_t i = 0; i < verify; ++i) {
@@ -560,12 +522,12 @@ int Run(cli::Args& args) {
         std::string request = StrFormat(
             "{\"op\":\"reach\",\"origin\":%u,\"mode\":\"hierarchy_free\",\"id\":\"v%llu\"}",
             origin_asn, static_cast<unsigned long long>(i));
-        std::string cold = client.RoundTrip(request);
-        std::string warm = client.RoundTrip(request);
+        std::string cold = RoundTrip(*client, request);
+        std::string warm = RoundTrip(*client, request);
         // The same query with timing must return identical result bytes —
         // tracing never perturbs the payload, only appends to it.
-        std::string timed = client.RoundTrip(
-            request.substr(0, request.size() - 1) + ",\"timing\":true}");
+        std::string timed =
+            RoundTrip(*client, request.substr(0, request.size() - 1) + ",\"timing\":true}");
         ++verify_checked;
         Json cold_doc = Json::Parse(cold);
         Json warm_doc = Json::Parse(warm);
@@ -611,8 +573,7 @@ int Run(cli::Args& args) {
     fleet["partial_answers"] = partial;
     fleet["unavailable"] = unavailable;
     try {
-      Client probe(host, port);
-      Json status = Json::Parse(probe.RoundTrip("{\"op\":\"status\",\"id\":\"post\"}"));
+      Json status = Json::Parse(RoundTrip(*dial(), "{\"op\":\"status\",\"id\":\"post\"}"));
       const Json& counters = status.Get("result").Get("fleet");
       std::uint64_t issued = counters.Get("hedge_issued").type() == Json::Type::kNumber
                                  ? counters.At("hedge_issued").AsU64()

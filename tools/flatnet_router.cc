@@ -12,24 +12,22 @@
 // Usage:
 //   flatnet_router --backends HOST:PORT,HOST:PORT,...
 //                  [--port P] [--bind ADDR] [--port-file <file>]
-//                  [--vnodes N] [--probe-interval-ms MS]
-//                  [--request-timeout-ms MS] [--no-hedging]
-//                  [--hedge-multiplier X] [--hedge-min-ms MS]
-//                  [--hedge-max-ms MS] [--max-connections N]
+//                  [--probe-interval-ms MS] [--request-timeout-ms MS]
+//                  [--max-connections N]
 //                  [--log-level <level>] [--metrics-out <file>]
 //
 // --backends lists the shards in ring order: the i-th address must be the
-// backend started with --shard i/N (the ownership ring is derived from the
-// count, so order is identity). A backend may also be given as a bare port
-// (127.0.0.1 assumed). Hedging re-issues a slow compute query to the next
-// distinct live shard once the owner has been silent for
-// multiplier x its EWMA latency (clamped to [min,max]); first response
-// wins. Every *-ms flag is capped at 3600000 (1 h, the protocol's
-// deadline_ms cap); a larger value is a usage error.
+// backend started with --shard i/N. The ownership ring is a function of
+// the shard count alone, so order is identity and no flag can make the
+// router and its shards disagree on an owner. Hedging is always on, with
+// the constants of src/fleet/hedge.h: a slow compute query is re-issued to
+// the next distinct live shard once the owner has been silent for a
+// multiple of its EWMA latency; first response wins. Every *-ms flag is
+// capped at 3600000 (1 h, the protocol's deadline_ms cap); a larger value
+// is a usage error.
 #include <csignal>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -52,10 +50,8 @@ void HandleSignal(int) {
 constexpr char kUsage[] =
     "usage: flatnet_router --backends HOST:PORT,HOST:PORT,...\n"
     "                      [--port P] [--bind ADDR] [--port-file <file>]\n"
-    "                      [--vnodes N] [--probe-interval-ms MS]\n"
-    "                      [--request-timeout-ms MS] [--no-hedging]\n"
-    "                      [--hedge-multiplier X] [--hedge-min-ms MS]\n"
-    "                      [--hedge-max-ms MS] [--max-connections N]\n"
+    "                      [--probe-interval-ms MS] [--request-timeout-ms MS]\n"
+    "                      [--max-connections N]\n"
     "                      [--log-level <level>] [--metrics-out <file>]\n";
 
 std::vector<fleet::BackendAddress> ParseBackendList(const std::string& list) {
@@ -70,7 +66,6 @@ std::vector<fleet::BackendAddress> ParseBackendList(const std::string& list) {
 
 int main(int argc, char** argv) {
   return cli::Main(argc, argv, "flatnet_router", kUsage, [](cli::Args& args) {
-    constexpr double kInfinity = std::numeric_limits<double>::infinity();
     using Ms = std::chrono::milliseconds;
     fleet::RouterOptions router_options;
     serve::ServerOptions server_options;
@@ -90,20 +85,10 @@ int main(int argc, char** argv) {
         server_options.bind_address = args.Value();
       } else if (args.Is("--port-file")) {
         port_file = args.Value();
-      } else if (args.Is("--vnodes")) {
-        router_options.vnodes = args.Unsigned<std::size_t>(1);
       } else if (args.Is("--probe-interval-ms")) {
         router_options.probe_interval = Ms(args.Unsigned<Ms::rep>(1, serve::kMaxDeadlineMs));
       } else if (args.Is("--request-timeout-ms")) {
         router_options.request_timeout = Ms(args.Unsigned<Ms::rep>(1, serve::kMaxDeadlineMs));
-      } else if (args.Is("--no-hedging")) {
-        router_options.hedging = false;
-      } else if (args.Is("--hedge-multiplier")) {
-        router_options.hedge.multiplier = args.Double(0.0, kInfinity);
-      } else if (args.Is("--hedge-min-ms")) {
-        router_options.hedge.min_ms = args.Double(0.0, serve::kMaxDeadlineMs);
-      } else if (args.Is("--hedge-max-ms")) {
-        router_options.hedge.max_ms = args.Double(0.0, serve::kMaxDeadlineMs);
       } else if (args.Is("--max-connections")) {
         server_options.max_connections = args.Unsigned<std::size_t>();
       } else {
